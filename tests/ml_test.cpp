@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -219,6 +220,144 @@ TEST(RandomForest, FitOnViewsAndMatrixMatchesFitOnCopies) {
   const std::vector<int> expected = onCopy.predictAll(data.x);
   EXPECT_EQ(onView.predictAll(data), expected);
   EXPECT_EQ(onMatrix.predictAll(data), expected);
+}
+
+// Golden forests: FNV-1a hashes of RandomForest::save text for fixed seeds.
+// Every table in the paper comes out of these trees, so any change to the
+// split search that moves a single threshold, tie-break or node number
+// shows up here. The hashes were recorded on the original per-threshold
+// scan; a faster split search must reproduce them unchanged.
+
+std::uint64_t forestHash(const Dataset& data, const ForestConfig& config) {
+  RandomForest forest(config);
+  forest.fit(data);
+  std::ostringstream text;
+  forest.save(text);
+  return util::hash64(text.str());
+}
+
+/// `classes` labels with `perClass` rows each over `dims` features. Values
+/// sit on a 0.5 grid (so nodes see many duplicates) around a per-class
+/// centre; the spread lets several classes share each region, so deep
+/// nodes hold a handful of the classes only.
+Dataset manyClassData(int classes, std::size_t perClass, std::size_t dims,
+                      std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<double>> centres(static_cast<std::size_t>(classes));
+  for (auto& centre : centres) {
+    for (std::size_t d = 0; d < dims; ++d) {
+      centre.push_back(rng.uniformReal(0.0, 6.0));
+    }
+  }
+  Dataset data;
+  for (int label = 0; label < classes; ++label) {
+    for (std::size_t i = 0; i < perClass; ++i) {
+      std::vector<double> row;
+      for (std::size_t d = 0; d < dims; ++d) {
+        const double value =
+            centres[static_cast<std::size_t>(label)][d] + rng.normal(0, 1.0);
+        row.push_back(std::round(value * 2.0) / 2.0);
+      }
+      data.x.push_back(std::move(row));
+      data.y.push_back(label);
+      data.groups.push_back(static_cast<int>(i));
+    }
+  }
+  return data;
+}
+
+/// Three classes over a feature made of adjacent doubles 1 + k*eps,
+/// k = 0..7. For odd k, 0.5*((1+k*eps) + (1+(k+1)*eps)) rounds up to the
+/// larger value, so the left side of that midpoint holds k+1 as well. Plus
+/// a coarse feature full of duplicates and a noisy one.
+Dataset adjacentDoubleData(std::size_t rows, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const double eps = std::numeric_limits<double>::epsilon();
+  Dataset data;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const int k = static_cast<int>(rng.uniformInt(0, 7));
+    int label = k <= 3 ? 0 : (k <= 5 ? 1 : 2);
+    if (rng.bernoulli(0.1)) label = static_cast<int>(rng.uniformInt(0, 2));
+    data.x.push_back({1.0 + k * eps,
+                      0.25 * static_cast<double>(rng.uniformInt(0, 4)),
+                      rng.normal(static_cast<double>(label), 1.5)});
+    data.y.push_back(label);
+  }
+  return data;
+}
+
+TEST(GoldenForest, AdjacentDoubleMidpointRoundsUp) {
+  // Guards the premise of the exact-sweep pin below.
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double a = 1.0 + 3 * eps;
+  const double b = 1.0 + 4 * eps;
+  EXPECT_EQ(0.5 * (a + b), b);
+  EXPECT_EQ(0.5 * (1.0 + (1.0 + eps)), 1.0);
+}
+
+TEST(GoldenForest, ManyClassesRandomized) {
+  const Dataset data = manyClassData(120, 3, 24, 101);
+  ForestConfig config;
+  config.treeCount = 10;
+  config.seed = 7;
+  EXPECT_EQ(forestHash(data, config), 0x924c654fd6d20247ULL);
+}
+
+TEST(GoldenForest, TwoClassesRandomized) {
+  const Dataset data = manyClassData(2, 150, 12, 202);
+  ForestConfig config;
+  config.treeCount = 10;
+  config.seed = 8;
+  EXPECT_EQ(forestHash(data, config), 0x66eac1851f2d4b48ULL);
+}
+
+TEST(GoldenForest, ExactSweepWithDuplicatesAndAdjacentDoubles) {
+  const Dataset data = adjacentDoubleData(160, 303);
+  ForestConfig config;
+  config.treeCount = 10;
+  config.seed = 9;
+  config.tree.thresholdsPerFeature = 0;
+  config.tree.featuresPerSplit = 2;
+  EXPECT_EQ(forestHash(data, config), 0xca60e6d33c07c481ULL);
+
+  const Dataset wide = manyClassData(40, 4, 10, 304);
+  EXPECT_EQ(forestHash(wide, config), 0x2ff703c8d47135d8ULL);
+}
+
+TEST(GoldenForest, MinLeafAndShallowDepth) {
+  const Dataset data = manyClassData(120, 3, 24, 101);
+  ForestConfig config;
+  config.treeCount = 10;
+  config.seed = 10;
+  config.tree.minSamplesLeaf = 3;
+  config.tree.maxDepth = 5;
+  EXPECT_EQ(forestHash(data, config), 0x4441254fa2f6b2b1ULL);
+  config.tree.thresholdsPerFeature = 0;
+  EXPECT_EQ(forestHash(data, config), 0x9ca4598ea19cbc40ULL);
+}
+
+TEST(GoldenForest, StorageModesGiveIdenticalBytes) {
+  const Dataset data = manyClassData(120, 3, 24, 101);
+  std::vector<std::size_t> train;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (i % 5 != 2) train.push_back(i);
+  }
+  ForestConfig config;
+  config.treeCount = 10;
+  config.seed = 11;
+
+  const std::uint64_t owned = forestHash(data.subset(train), config);
+  EXPECT_EQ(owned, 0x70e7d9304c7dd2a0ULL);
+  EXPECT_EQ(forestHash(data.subsetView(train), config), owned);
+
+  auto opened =
+      MatrixFile::open(spillToMatrix(data, "sca_ml_golden.mtx"), 1);
+  ASSERT_TRUE(opened.ok()) << opened.status().toString();
+  const Dataset mapped = Dataset::fromMatrix(opened.value());
+  EXPECT_EQ(forestHash(mapped.subsetView(train), config), owned);
+  // A tiny residency budget evicts pages mid-fit; the bytes cannot move.
+  opened.value().setResidencyBudget(4096);
+  EXPECT_EQ(forestHash(mapped.subsetView(train), config), owned);
 }
 
 TEST(DecisionTree, SaveLoadRoundTrip) {
