@@ -1,10 +1,12 @@
 // CART decision tree with Gini impurity.
 //
 // Two split modes: exact (sorted sweep over midpoints, as in classic CART)
-// and randomized thresholds (Extra-Trees style), which is ~5-10x faster on
-// our dense stylometric vectors and — with bagging on top — statistically
-// indistinguishable for these experiments. The forest defaults to the
-// randomized mode; the ablation bench compares both.
+// and randomized thresholds (Extra-Trees style), which with bagging on top
+// is statistically indistinguishable for these experiments. The forest
+// defaults to the randomized mode; bench/ablation_forest compares both in
+// accuracy and fit time. Either mode examines each sampled feature of a
+// node in one pass; DESIGN.md §2.11 explains why the trees are the same
+// bit for bit as a scan per threshold.
 #pragma once
 
 #include <cstddef>

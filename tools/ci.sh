@@ -35,6 +35,11 @@
 # be at least 2x faster than the seed median — the zero-copy lexer / arena
 # AST speedup, locked so it cannot silently erode.
 #
+# A paper-table step then runs the 12 table/figure benches at SCA_THREADS=1
+# and 4 and compares the SHA-256 of every CSV they write against the
+# committed tools/perf/table_digests.txt, so no change can move a reported
+# number without updating the digests in the same commit.
+#
 # A serve-telemetry smoke then proves the request-level telemetry is
 # observational: one stream served with telemetry off vs on full logging
 # (SCA_SERVE_TIMING=0 + SCA_LOG) at different thread counts must be
@@ -241,6 +246,25 @@ perf_seed_smoke() {
   echo "=== perf-seed smoke ok ==="
 }
 perf_seed_smoke
+
+# Paper-table pins: the same digests must come out at 1 and at 4 threads
+# (the determinism invariant) and must equal the committed ones. A change
+# that is meant to move a table updates tools/perf/table_digests.txt and
+# EXPERIMENTS.md together. Release on 4 cores: about 20 s at 4 threads, 50 s
+# at 1.
+table_digest_smoke() {
+  echo "=== paper-table digests (build-release) ==="
+  local t
+  for t in 1 4; do
+    tools/perf/table_digests.sh build-release "$t" \
+      "build-release/table-digests-t$t" > "build-release/table_digests_t$t.txt"
+    diff tools/perf/table_digests.txt "build-release/table_digests_t$t.txt" ||
+      { echo "paper-table CSVs differ from the pinned digests at" \
+             "SCA_THREADS=$t" >&2; exit 1; }
+  done
+  echo "=== paper-table digests ok ==="
+}
+table_digest_smoke
 
 # Serve-chaos smoke: the sharded serving stack's hard invariant is that a
 # chaos schedule (mid-run slow + kill, per-attempt fault injection) changes
