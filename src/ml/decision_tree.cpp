@@ -36,7 +36,7 @@ struct SplitCandidate {
 /// Per-tree working memory, sized once per fit. Labels inside a node are
 /// slots into the node's present classes (ascending class id), so count
 /// vectors are K = |present| wide rather than classCount wide.
-struct Scratch {
+struct Workspace {
   std::vector<std::size_t> spill;     // partition buffer for right rows
   std::vector<const double*> rows;    // node rows, gathered per node
   std::vector<std::size_t> slots;     // node labels as present-class slots
@@ -58,7 +58,7 @@ struct Scratch {
   // Exact mode: (value, slot) pairs sorted by value.
   std::vector<std::pair<double, std::size_t>> sorted;
 
-  Scratch(std::size_t samples, std::size_t classCount,
+  Workspace(std::size_t samples, std::size_t classCount,
           std::size_t thresholdCount)
       : spill(samples),
         rows(samples),
@@ -102,7 +102,7 @@ void DecisionTree::fit(const Dataset& data,
   // [begin, end), and a split stably partitions that range in place into
   // its children's ranges.
   std::vector<std::size_t> samples = sampleIndices;
-  Scratch scratch(samples.size(), static_cast<std::size_t>(classCount),
+  Workspace work(samples.size(), static_cast<std::size_t>(classCount),
                   thresholdCount);
 
   struct WorkItem {
@@ -124,34 +124,34 @@ void DecisionTree::fit(const Dataset& data,
 
     // Gather the node's rows and labels once; map labels to slots of the
     // present classes in ascending class id.
-    std::vector<int>& present = scratch.present;
+    std::vector<int>& present = work.present;
     present.clear();
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = samples[item.begin + k];
-      scratch.rows[k] = data.row(i).data();
+      work.rows[k] = data.row(i).data();
       const int label = data.y[i];
-      int& slot = scratch.slotOfClass[static_cast<std::size_t>(label)];
+      int& slot = work.slotOfClass[static_cast<std::size_t>(label)];
       if (slot < 0) {
         slot = 0;
         present.push_back(label);
       }
-      scratch.slots[k] = static_cast<std::size_t>(label);
+      work.slots[k] = static_cast<std::size_t>(label);
     }
     std::sort(present.begin(), present.end());
     const std::size_t K = present.size();
     for (std::size_t s = 0; s < K; ++s) {
-      scratch.slotOfClass[static_cast<std::size_t>(present[s])] =
+      work.slotOfClass[static_cast<std::size_t>(present[s])] =
           static_cast<int>(s);
     }
-    std::size_t* counts = scratch.counts.data();
+    std::size_t* counts = work.counts.data();
     std::fill_n(counts, K, 0);
     for (std::size_t k = 0; k < n; ++k) {
-      scratch.slots[k] = static_cast<std::size_t>(
-          scratch.slotOfClass[scratch.slots[k]]);
-      ++counts[scratch.slots[k]];
+      work.slots[k] = static_cast<std::size_t>(
+          work.slotOfClass[work.slots[k]]);
+      ++counts[work.slots[k]];
     }
     for (const int label : present) {
-      scratch.slotOfClass[static_cast<std::size_t>(label)] = -1;
+      work.slotOfClass[static_cast<std::size_t>(label)] = -1;
     }
     const double nodeImpurity = gini(counts, K, n);
 
@@ -173,8 +173,8 @@ void DecisionTree::fit(const Dataset& data,
 
     // Impurity of a split with `leftCounts` (K slots, `leftTotal` rows) on
     // the left, or +inf when a side is below the minimum leaf size.
-    std::size_t* leftCounts = scratch.leftCounts.data();
-    std::size_t* rightCounts = scratch.rightCounts.data();
+    std::size_t* leftCounts = work.leftCounts.data();
+    std::size_t* rightCounts = work.rightCounts.data();
     const auto splitImpurity = [&](std::size_t leftTotal) {
       const std::size_t rightTotal = n - leftTotal;
       if (leftTotal < config.minSamplesLeaf ||
@@ -195,13 +195,13 @@ void DecisionTree::fit(const Dataset& data,
     // within a feature, the first-drawn (or lowest exact) threshold.
     const std::vector<std::size_t> features = rng.sampleIndices(dims, mtry);
     SplitCandidate best;
-    double* values = scratch.values.data();
+    double* values = work.values.data();
 
     for (const std::size_t f : features) {
       double lo = std::numeric_limits<double>::infinity();
       double hi = -std::numeric_limits<double>::infinity();
       for (std::size_t k = 0; k < n; ++k) {
-        const double value = scratch.rows[k][f];
+        const double value = work.rows[k][f];
         values[k] = value;
         lo = std::min(lo, value);
         hi = std::max(hi, value);
@@ -213,9 +213,9 @@ void DecisionTree::fit(const Dataset& data,
         // over the sorted column. The left side of a midpoint is exactly
         // {value <= mid}: for adjacent doubles 0.5*(a+b) can round up to
         // b, which then belongs on the left too.
-        auto& sorted = scratch.sorted;
+        auto& sorted = work.sorted;
         for (std::size_t k = 0; k < n; ++k) {
-          sorted[k] = {values[k], scratch.slots[k]};
+          sorted[k] = {values[k], work.slots[k]};
         }
         std::sort(sorted.begin(),
                   sorted.begin() + static_cast<std::ptrdiff_t>(n));
@@ -240,21 +240,21 @@ void DecisionTree::fit(const Dataset& data,
       // sequence as drawing one per evaluation), bucket each row against
       // the sorted thresholds in one pass, sweep the buckets in ascending
       // order, then compare in draw order.
-      double* thresholds = scratch.thresholds.data();
+      double* thresholds = work.thresholds.data();
       for (std::size_t t = 0; t < thresholdCount; ++t) {
         thresholds[t] = rng.uniformReal(lo, hi);
       }
-      auto& order = scratch.order;
+      auto& order = work.order;
       for (std::size_t t = 0; t < thresholdCount; ++t) order[t] = t;
       std::sort(order.begin(), order.end(),
                 [&](std::size_t a, std::size_t b) {
                   return thresholds[a] < thresholds[b];
                 });
-      double* ascending = scratch.ascending.data();
+      double* ascending = work.ascending.data();
       for (std::size_t j = 0; j < thresholdCount; ++j) {
         ascending[j] = thresholds[order[j]];
       }
-      std::size_t* bucketCounts = scratch.bucketCounts.data();
+      std::size_t* bucketCounts = work.bucketCounts.data();
       std::fill_n(bucketCounts, (thresholdCount + 1) * K, 0);
       for (std::size_t k = 0; k < n; ++k) {
         // Thresholds below the value form a prefix of the ascending list,
@@ -265,7 +265,7 @@ void DecisionTree::fit(const Dataset& data,
         for (std::size_t j = 0; j < thresholdCount; ++j) {
           bucket += !(value <= ascending[j]);
         }
-        ++bucketCounts[bucket * K + scratch.slots[k]];
+        ++bucketCounts[bucket * K + work.slots[k]];
       }
       std::fill_n(leftCounts, K, 0);
       std::size_t leftTotal = 0;
@@ -275,11 +275,11 @@ void DecisionTree::fit(const Dataset& data,
           leftCounts[s] += bucket[s];
           leftTotal += bucket[s];
         }
-        scratch.impurity[order[j]] = splitImpurity(leftTotal);
+        work.impurity[order[j]] = splitImpurity(leftTotal);
       }
       for (std::size_t t = 0; t < thresholdCount; ++t) {
-        if (scratch.impurity[t] < best.impurity) {
-          best = {static_cast<int>(f), thresholds[t], scratch.impurity[t]};
+        if (work.impurity[t] < best.impurity) {
+          best = {static_cast<int>(f), thresholds[t], work.impurity[t]};
         }
       }
     }
@@ -296,13 +296,13 @@ void DecisionTree::fit(const Dataset& data,
     std::size_t rightCount = 0;
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = samples[item.begin + k];
-      if (scratch.rows[k][splitFeature] <= best.threshold) {
+      if (work.rows[k][splitFeature] <= best.threshold) {
         samples[leftEnd++] = i;
       } else {
-        scratch.spill[rightCount++] = i;
+        work.spill[rightCount++] = i;
       }
     }
-    std::copy_n(scratch.spill.begin(), rightCount,
+    std::copy_n(work.spill.begin(), rightCount,
                 samples.begin() + static_cast<std::ptrdiff_t>(leftEnd));
 
     node.featureIndex = best.feature;
