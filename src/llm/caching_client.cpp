@@ -56,40 +56,26 @@ CachingClient::CachingClient(LlmClient& inner, cache::DiskCache& store,
 
 util::Result<std::string> CachingClient::tryGenerate(
     const corpus::Challenge& challenge) {
-  CallContext unlimited;
-  return tryGenerate(challenge, unlimited);
+  Served request;
+  request.generate = true;
+  request.challenge = &challenge;
+  return dispatch(std::move(request));
 }
 
 util::Result<std::string> CachingClient::tryTransform(
     const std::string& source) {
-  CallContext unlimited;
-  return tryTransform(source, unlimited);
-}
-
-util::Result<std::string> CachingClient::tryGenerate(
-    const corpus::Challenge& challenge, CallContext& context) {
-  Served request;
-  request.generate = true;
-  request.challenge = &challenge;
-  return dispatch(std::move(request), context);
-}
-
-util::Result<std::string> CachingClient::tryTransform(
-    const std::string& source, CallContext& context) {
   Served request;
   request.generate = false;
   request.input = source;
-  return dispatch(std::move(request), context);
+  return dispatch(std::move(request));
 }
 
-util::Result<std::string> CachingClient::callInner(const Served& request,
-                                                   CallContext& context) {
-  if (request.generate) return inner_.tryGenerate(*request.challenge, context);
-  return inner_.tryTransform(request.input, context);
+util::Result<std::string> CachingClient::callInner(const Served& request) {
+  if (request.generate) return inner_.tryGenerate(*request.challenge);
+  return inner_.tryTransform(request.input);
 }
 
-util::Result<std::string> CachingClient::dispatch(Served request,
-                                                  CallContext& context) {
+util::Result<std::string> CachingClient::dispatch(Served request) {
   // Fold this request into the conversation key. Generate keys fold the
   // challenge id (statement text is derived from it); transform keys fold
   // the source — which for a chain is the previous output, so the fold
@@ -113,13 +99,10 @@ util::Result<std::string> CachingClient::dispatch(Served request,
     }
     // First miss: replay the served prefix through the inner client so its
     // conversation/RNG state matches a cold run, then stop looking up.
-    // Replays reconstruct state the cache already served — administrative
-    // work that must not be billed against the live request's deadline.
     bypass_ = true;
-    CallContext replayContext;
     for (const Served& prior : served_) {
       // Output already served; state is the point.
-      (void)callInner(prior, replayContext);
+      (void)callInner(prior);
       ++stats_.replays;
       counters.replays.add();
     }
@@ -129,7 +112,7 @@ util::Result<std::string> CachingClient::dispatch(Served request,
 
   ++stats_.misses;
   counters.misses.add();
-  util::Result<std::string> result = callInner(request, context);
+  util::Result<std::string> result = callInner(request);
   if (result.ok()) {
     // Best effort: a failed put degrades to a cold entry, nothing more.
     (void)store_.put(key, result.value());

@@ -61,10 +61,6 @@ class CachingClient : public LlmClient {
       const corpus::Challenge& challenge) override;
   [[nodiscard]] util::Result<std::string> tryTransform(
       const std::string& source) override;
-  [[nodiscard]] util::Result<std::string> tryGenerate(
-      const corpus::Challenge& challenge, CallContext& context) override;
-  [[nodiscard]] util::Result<std::string> tryTransform(
-      const std::string& source, CallContext& context) override;
   [[nodiscard]] std::string_view describe() const override {
     return "caching";
   }
@@ -87,10 +83,8 @@ class CachingClient : public LlmClient {
     std::string input;                             // transform only
   };
 
-  [[nodiscard]] util::Result<std::string> dispatch(Served request,
-                                                   CallContext& context);
-  [[nodiscard]] util::Result<std::string> callInner(const Served& request,
-                                                    CallContext& context);
+  [[nodiscard]] util::Result<std::string> dispatch(Served request);
+  [[nodiscard]] util::Result<std::string> callInner(const Served& request);
 
   LlmClient& inner_;
   cache::DiskCache& store_;

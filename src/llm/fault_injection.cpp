@@ -55,10 +55,6 @@ FaultInjectingClient::FaultKind FaultInjectingClient::roll() {
   if (draw < edge) return FaultKind::Truncate;
   edge += options_.garbageRate;
   if (draw < edge) return FaultKind::Garbage;
-  // Slow is the LAST edge by contract (see header): schedules with
-  // slowRate == 0 keep their historical draw-to-fault mapping bit for bit.
-  edge += options_.slowRate;
-  if (draw < edge) return FaultKind::Slow;
   return FaultKind::None;
 }
 
@@ -86,41 +82,18 @@ std::string FaultInjectingClient::garbleOutput(const std::string& good) {
 }
 
 util::Result<std::string> FaultInjectingClient::dispatch(
-    std::uint64_t requestKey, const std::function<std::string()>& call,
-    CallContext& context) {
+    std::uint64_t requestKey, const std::function<std::string()>& call) {
   ++stats_.attempts;
 
   // Replay: a retry of the request whose completion we last corrupted is
   // served the stashed good completion — the model already produced it, so
   // its RNG stream must not advance again.
   if (pendingGood_.has_value() && pendingKey_ == requestKey) {
-    if (pendingSlow_) {
-      // Slowness is SHARD state, not a per-attempt draw: the retry re-pays
-      // the slow wire for the stashed completion's delivery. With an
-      // attempt timeout below the latency, every retry hangs up again and
-      // the stash survives — the whole ladder surfaces as kTimeout and
-      // byte-identity is restored by conversation replay, not the stash.
-      const bool attemptTimedOut =
-          options_.attemptTimeoutSeconds > 0.0 &&
-          options_.slowLatencySeconds >= options_.attemptTimeoutSeconds;
-      context.charge(attemptTimedOut ? options_.attemptTimeoutSeconds
-                                     : options_.slowLatencySeconds);
-      if (attemptTimedOut || context.expired()) {
-        ++stats_.slowTimeouts;
-        return util::Status(util::StatusCode::kTimeout,
-                            attemptTimedOut
-                                ? "injected slow response exceeded attempt "
-                                  "timeout"
-                                : "injected slow response exceeded deadline");
-      }
-    }
     std::string good = std::move(*pendingGood_);
     pendingGood_.reset();
-    pendingSlow_ = false;
     return good;
   }
   pendingGood_.reset();  // a different request invalidates the stash
-  pendingSlow_ = false;
 
   const FaultKind kind = roll();
   if (kind != FaultKind::None) {
@@ -128,7 +101,7 @@ util::Result<std::string> FaultInjectingClient::dispatch(
                   [&](util::JsonObjectBuilder& fields) {
                     static constexpr const char* kNames[] = {
                         "none", "timeout", "rate_limit", "empty",
-                        "truncated", "garbage", "slow"};
+                        "truncated", "garbage"};
                     fields.add("kind", kNames[static_cast<int>(kind)]);
                   });
   }
@@ -178,36 +151,6 @@ util::Result<std::string> FaultInjectingClient::dispatch(
       pendingKey_ = requestKey;
       return bad;
     }
-    case FaultKind::Slow: {
-      // A straggler, not an outage: the model DOES produce the completion
-      // (its RNG advances exactly as on a healthy call) — only the wire is
-      // slow. Within the caller's budget the call still succeeds; past it
-      // the caller saw nothing come back, so it surfaces as a timeout with
-      // the good completion stashed for the retry.
-      ++stats_.slow;
-      static const obs::Counter kSlowFaults = faultCounter("llm_faults_slow");
-      kSlowFaults.add();
-      std::string good = call();
-      const bool attemptTimedOut =
-          options_.attemptTimeoutSeconds > 0.0 &&
-          options_.slowLatencySeconds >= options_.attemptTimeoutSeconds;
-      // An attempt-timeout hangs up at the timeout mark, so only that much
-      // latency is charged — the caller did not wait out the straggler.
-      context.charge(attemptTimedOut ? options_.attemptTimeoutSeconds
-                                     : options_.slowLatencySeconds);
-      if (attemptTimedOut || context.expired()) {
-        ++stats_.slowTimeouts;
-        pendingGood_ = std::move(good);
-        pendingKey_ = requestKey;
-        pendingSlow_ = true;
-        return util::Status(util::StatusCode::kTimeout,
-                            attemptTimedOut
-                                ? "injected slow response exceeded attempt "
-                                  "timeout"
-                                : "injected slow response exceeded deadline");
-      }
-      return good;
-    }
     case FaultKind::None:
       break;
   }
@@ -216,34 +159,20 @@ util::Result<std::string> FaultInjectingClient::dispatch(
 
 util::Result<std::string> FaultInjectingClient::tryGenerate(
     const corpus::Challenge& challenge) {
-  CallContext unlimited;
-  return tryGenerate(challenge, unlimited);
+  const std::uint64_t key =
+      util::combine64(util::hash64("generate"), util::hash64(challenge.id));
+  return dispatch(key, [&] {
+    return inner_.tryGenerate(challenge).valueOr(std::string());
+  });
 }
 
 util::Result<std::string> FaultInjectingClient::tryTransform(
     const std::string& source) {
-  CallContext unlimited;
-  return tryTransform(source, unlimited);
-}
-
-util::Result<std::string> FaultInjectingClient::tryGenerate(
-    const corpus::Challenge& challenge, CallContext& context) {
-  const std::uint64_t key =
-      util::combine64(util::hash64("generate"), util::hash64(challenge.id));
-  return dispatch(key, [&] {
-    util::Result<std::string> result = inner_.tryGenerate(challenge, context);
-    return result.valueOr(std::string());
-  }, context);
-}
-
-util::Result<std::string> FaultInjectingClient::tryTransform(
-    const std::string& source, CallContext& context) {
   const std::uint64_t key =
       util::combine64(util::hash64("transform"), util::hash64(source));
   return dispatch(key, [&] {
-    util::Result<std::string> result = inner_.tryTransform(source, context);
-    return result.valueOr(std::string());
-  }, context);
+    return inner_.tryTransform(source).valueOr(std::string());
+  });
 }
 
 }  // namespace sca::llm

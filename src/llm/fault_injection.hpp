@@ -1,7 +1,7 @@
 // FaultInjectingClient: a decorator that makes the always-healthy
 // SyntheticLlm fail the way the real ChatGPT API fails.
 //
-// Six failure modes, drawn from what large-scale attribution pipelines
+// Five failure modes, drawn from what large-scale attribution pipelines
 // actually hit (paper §IV-B ran 20,000+ API calls; Pordanesh & Tan and
 // Choi et al. report the same operational taxonomy):
 //
@@ -10,9 +10,6 @@
 //   empty        empty or refusal completion             (200 OK, pre-call)
 //   truncated    completion cut off mid-output           (200 OK, post-call)
 //   garbage      style-destroying unparseable rewrite    (200 OK, post-call)
-//   slow         completion arrives, but late            (post-call; charges
-//                the CallContext — becomes kTimeout only when the charge
-//                blows the caller's deadline)
 //
 // Determinism and replay: every attempt rolls one draw from a seeded
 // stream, so a given (seed, attempt index) always injects the same fault.
@@ -24,10 +21,6 @@
 // layer's retries, the surviving output is byte-identical to a faults-off
 // run — faults-on reproduces every paper table until the retry budget is
 // exhausted and degradation (the caller's policy) kicks in.
-//
-// The slow edge is LAST in the roll chain, so any schedule with
-// slowRate == 0 (including every FaultOptions::scaled mix) draws the
-// exact fault sequence it always has.
 #pragma once
 
 #include <cstdint>
@@ -48,34 +41,16 @@ struct FaultOptions {
   double emptyRate = 0.0;      // includes refusals
   double truncateRate = 0.0;
   double garbageRate = 0.0;
-  /// Straggler mode: the completion is produced but `slowLatencySeconds`
-  /// of simulated latency is charged to the CallContext. Within budget the
-  /// call still succeeds (a slow shard degrades latency, not correctness);
-  /// past the deadline it surfaces as kTimeout with the good completion
-  /// stashed for replay, feeding the fleet's timeout-ejection logic.
-  double slowRate = 0.0;
-  double slowLatencySeconds = 60.0;
-  /// Per-ATTEMPT timeout, distinct from the request deadline: when > 0 and
-  /// a slow attempt's latency reaches it, the caller hangs up at the
-  /// timeout mark (charging `attemptTimeoutSeconds`, not the full latency)
-  /// and the attempt surfaces as kTimeout — even though the request as a
-  /// whole still has budget. This is how a slow-but-functional shard gets
-  /// ejected without first burning whole requests: each attempt fails fast
-  /// enough that the retry ladder (and then failover) fits inside the
-  /// request deadline. 0 disables (attempts wait out the full latency).
-  double attemptTimeoutSeconds = 0.0;
 
   [[nodiscard]] double totalRate() const noexcept {
     return timeoutRate + rateLimitRate + emptyRate + truncateRate +
-           garbageRate + slowRate;
+           garbageRate;
   }
 
   /// Splits one total per-attempt fault probability across the modes with
   /// the mix observed in practice: transport faults dominate (25% timeout,
   /// 25% rate-limit), then refusals (20%), then corrupt completions
-  /// (15% truncated, 15% garbage). Slow mode stays 0 — stragglers are a
-  /// per-shard chaos knob (see sharded_client.hpp), not part of the
-  /// baseline mix, so existing fault schedules keep their exact draws.
+  /// (15% truncated, 15% garbage).
   [[nodiscard]] static FaultOptions scaled(double totalRate,
                                            std::uint64_t seed);
 };
@@ -88,10 +63,6 @@ class FaultInjectingClient : public LlmClient {
       const corpus::Challenge& challenge) override;
   [[nodiscard]] util::Result<std::string> tryTransform(
       const std::string& source) override;
-  [[nodiscard]] util::Result<std::string> tryGenerate(
-      const corpus::Challenge& challenge, CallContext& context) override;
-  [[nodiscard]] util::Result<std::string> tryTransform(
-      const std::string& source, CallContext& context) override;
   [[nodiscard]] std::string_view describe() const override {
     return "fault-injecting";
   }
@@ -103,10 +74,8 @@ class FaultInjectingClient : public LlmClient {
     std::uint64_t empties = 0;
     std::uint64_t truncations = 0;
     std::uint64_t garbled = 0;
-    std::uint64_t slow = 0;          // slow completions injected
-    std::uint64_t slowTimeouts = 0;  // of which blew the caller's deadline
     [[nodiscard]] std::uint64_t total() const noexcept {
-      return timeouts + rateLimits + empties + truncations + garbled + slow;
+      return timeouts + rateLimits + empties + truncations + garbled;
     }
   };
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
@@ -119,14 +88,11 @@ class FaultInjectingClient : public LlmClient {
   [[nodiscard]] static std::string garbleOutput(const std::string& good);
 
  private:
-  enum class FaultKind {
-    None, Timeout, RateLimit, Empty, Truncate, Garbage, Slow
-  };
+  enum class FaultKind { None, Timeout, RateLimit, Empty, Truncate, Garbage };
 
   [[nodiscard]] FaultKind roll();
   [[nodiscard]] util::Result<std::string> dispatch(
-      std::uint64_t requestKey, const std::function<std::string()>& call,
-      CallContext& context);
+      std::uint64_t requestKey, const std::function<std::string()>& call);
 
   LlmClient& inner_;
   FaultOptions options_;
@@ -136,8 +102,6 @@ class FaultInjectingClient : public LlmClient {
   // copy was last handed out, keyed by the request fingerprint.
   std::optional<std::string> pendingGood_;
   std::uint64_t pendingKey_ = 0;
-  bool pendingSlow_ = false;  // stash came from a Slow fault: retries of the
-                              // DELIVERY still ride the slow wire
 };
 
 }  // namespace sca::llm

@@ -51,12 +51,6 @@ obs::Counter& validationFailuresCounter() {
   return counter;
 }
 
-obs::Counter& deadlineStopsCounter() {
-  static obs::Counter counter = obs::MetricsRegistry::global().counter(
-      "llm_deadline_stops", obs::Stability::kRuntime);
-  return counter;
-}
-
 obs::Histogram& backoffDelayHistogram() {
   static obs::Histogram histogram = obs::MetricsRegistry::global().histogram(
       "llm_backoff_delay_s", {0.25, 0.5, 1, 2, 4, 8, 16, 32},
@@ -140,23 +134,13 @@ void ResilientClient::noteSuccessLocked() {
 }
 
 util::Result<std::string> ResilientClient::perform(
-    const std::function<util::Result<std::string>()>& request,
-    CallContext& context) {
+    const std::function<util::Result<std::string>()>& request) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.requests;
   }
   obs::Span span("llm_request", "llm");
   util::Status last(util::StatusCode::kInternal, "no attempt made");
-
-  if (context.expired()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.deadlineStops;
-    deadlineStopsCounter().add();
-    if (context.telemetry != nullptr) ++context.telemetry->deadlineStops;
-    return util::Status(util::StatusCode::kDeadlineExceeded,
-                        "deadline expired before first attempt");
-  }
 
   for (int attempt = 0; attempt < retry_.maxAttempts; ++attempt) {
     if (attempt > 0) {
@@ -181,38 +165,11 @@ util::Result<std::string> ResilientClient::perform(
         delay = baseDelayFor(attempt - 1);
         delay *= 1.0 + jitterRng_.uniformReal(-retry_.jitterFraction,
                                               retry_.jitterFraction);
-        // Deadline gate: backing off into a deadline that cannot cover the
-        // delay would only convert a retryable failure into a late one.
-        // The jitter draw above is already consumed — the stream position
-        // is a function of retry count, never of deadline outcomes.
-        if (!context.canAfford(delay)) {
-          ++stats_.deadlineStops;
-          deadlineStopsCounter().add();
-          if (context.telemetry != nullptr) {
-            ++context.telemetry->deadlineStops;
-          }
-          obs::logEvent(obs::LogLevel::kWarn, "llm", "deadline_stop",
-                        [&](util::JsonObjectBuilder& fields) {
-                          fields.addDouble("next_delay_s", delay, 3);
-                          fields.addDouble("remaining_s",
-                                           context.remainingSeconds(), 3);
-                          fields.add("last_error", last.toString());
-                        });
-          return util::Status(util::StatusCode::kDeadlineExceeded,
-                              "deadline cannot cover next backoff; "
-                              "last error: " +
-                                  last.toString());
-        }
         ++retriesUsed_;
         ++stats_.retries;
         retriesCounter().add();
         stats_.simulatedBackoffSeconds += delay;
         if (backoffLog_.size() < 4096) backoffLog_.push_back(delay);
-      }
-      context.charge(delay);
-      if (context.telemetry != nullptr) {
-        ++context.telemetry->retries;
-        context.telemetry->backoffSeconds += delay;
       }
       backoffDelayHistogram().observe(delay);
       runtime::PhaseTimes::global().add("llm_backoff_sim", delay);
@@ -228,7 +185,6 @@ util::Result<std::string> ResilientClient::perform(
     // Circuit gate: an open circuit fails attempts fast until the cooldown
     // admits a half-open probe — and only ONE caller may be that probe.
     bool amProbe = false;
-    if (context.telemetry != nullptr) ++context.telemetry->attempts;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.attempts;
@@ -288,11 +244,9 @@ util::Result<std::string> ResilientClient::perform(
     }
     if (!last.retryable()) return last;
   }
-  // A ladder that died timing out surfaces AS a timeout: fleet-level
-  // routing (sharded_client.hpp) treats timeout finals as the signature of
-  // a slow shard, and wrapping them as kResourceExhausted would hide that.
-  if (last.code() == util::StatusCode::kTimeout ||
-      last.code() == util::StatusCode::kDeadlineExceeded) {
+  // A ladder that died timing out surfaces AS a timeout, so the caller
+  // can tell a backend that never answered from one that answered badly.
+  if (last.code() == util::StatusCode::kTimeout) {
     return util::Status(last.code(),
                         "attempts exhausted; last error: " + last.toString());
   }
@@ -302,26 +256,12 @@ util::Result<std::string> ResilientClient::perform(
 
 util::Result<std::string> ResilientClient::tryGenerate(
     const corpus::Challenge& challenge) {
-  CallContext unlimited;
-  return tryGenerate(challenge, unlimited);
+  return perform([&] { return inner_.tryGenerate(challenge); });
 }
 
 util::Result<std::string> ResilientClient::tryTransform(
     const std::string& source) {
-  CallContext unlimited;
-  return tryTransform(source, unlimited);
-}
-
-util::Result<std::string> ResilientClient::tryGenerate(
-    const corpus::Challenge& challenge, CallContext& context) {
-  return perform([&] { return inner_.tryGenerate(challenge, context); },
-                 context);
-}
-
-util::Result<std::string> ResilientClient::tryTransform(
-    const std::string& source, CallContext& context) {
-  return perform([&] { return inner_.tryTransform(source, context); },
-                 context);
+  return perform([&] { return inner_.tryTransform(source); });
 }
 
 }  // namespace sca::llm

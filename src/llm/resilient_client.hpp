@@ -1,9 +1,9 @@
-// ResilientClient: retry, circuit breaking, budgets, deadlines and output
-// validation around any LlmClient.
+// ResilientClient: retry, circuit breaking, budgets and output validation
+// around any LlmClient.
 //
 // The layer turns the transient failures a real API emits (see
 // fault_injection.hpp for the taxonomy) into either a good completion or a
-// single, final Status the caller can degrade on. Five mechanisms:
+// single, final Status the caller can degrade on. Four mechanisms:
 //
 //   * Retry with exponential backoff + deterministic jitter. Delays follow
 //     base * multiplier^k capped at max, each multiplied by a jitter factor
@@ -26,24 +26,17 @@
 //     so a persistently bad backend cannot stall a chain forever. On
 //     exhaustion every subsequent failure is final (kResourceExhausted).
 //
-//   * Deadline budget (CallContext): every backoff delay is charged to the
-//     caller-supplied context; when the context cannot afford the NEXT
-//     delay the loop stops early with kDeadlineExceeded — no point backing
-//     off into a deadline that has already passed. Callers without a
-//     deadline (the default context) never hit this path, byte for byte.
-//
 //   * Output validation: an OK completion is rejected (kEmptyResponse /
 //     kInvalidOutput) when it is empty, a refusal, or no longer parses
 //     cleanly through ast::parse — the contract a transformation must keep
 //     for the stylometry pipeline to measure anything.
 //
 // Thread safety: breaker state, retry budget, jitter stream and stats are
-// mutex-guarded, so one instance may front a shard shared by concurrent
-// serve requests. The inner request itself runs OUTSIDE the lock. The
-// pipeline still builds one client stack per transformation chain (one
-// conversation), which is what keeps every stream deterministic per
-// (setting, challenge) task; determinism under sharing is the serving
-// layer's problem (see sharded_client.hpp).
+// mutex-guarded, so one instance may be shared by concurrent callers. The
+// inner request itself runs OUTSIDE the lock. The pipeline builds one
+// client stack per transformation chain (one conversation), which is what
+// keeps every stream deterministic per (setting, challenge) task; a shared
+// instance stays safe but interleaves its jitter stream across callers.
 #pragma once
 
 #include <cstdint>
@@ -88,10 +81,6 @@ class ResilientClient : public LlmClient {
       const corpus::Challenge& challenge) override;
   [[nodiscard]] util::Result<std::string> tryTransform(
       const std::string& source) override;
-  [[nodiscard]] util::Result<std::string> tryGenerate(
-      const corpus::Challenge& challenge, CallContext& context) override;
-  [[nodiscard]] util::Result<std::string> tryTransform(
-      const std::string& source, CallContext& context) override;
   [[nodiscard]] std::string_view describe() const override {
     return "resilient";
   }
@@ -106,8 +95,6 @@ class ResilientClient : public LlmClient {
     std::uint64_t probeFastFails = 0;   // callers rejected while a half-open
                                         // probe was already in flight
     std::uint64_t budgetExhaustions = 0;
-    std::uint64_t deadlineStops = 0;    // retries abandoned: deadline could
-                                        // not cover the next backoff delay
     double simulatedBackoffSeconds = 0.0;
   };
   [[nodiscard]] Stats stats() const {
@@ -140,8 +127,7 @@ class ResilientClient : public LlmClient {
  private:
   [[nodiscard]] util::Status validate(const std::string& output) const;
   [[nodiscard]] util::Result<std::string> perform(
-      const std::function<util::Result<std::string>()>& request,
-      CallContext& context);
+      const std::function<util::Result<std::string>()>& request);
   // Both require mu_ held.
   void noteFailureLocked();
   void noteSuccessLocked();

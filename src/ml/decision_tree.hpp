@@ -5,7 +5,7 @@
 // is statistically indistinguishable for these experiments. The forest
 // defaults to the randomized mode; bench/ablation_forest compares both in
 // accuracy and fit time. Either mode examines each sampled feature of a
-// node in one pass; DESIGN.md §2.11 explains why the trees are the same
+// node in one pass; DESIGN.md §2.9 explains why the trees are the same
 // bit for bit as a scan per threshold.
 #pragma once
 

@@ -14,11 +14,11 @@
 // stable metrics, or any output byte, so recorder-on runs stay
 // byte-identical to recorder-off runs.
 //
-// Arming (done by bench::Session and `sca_cli serve`) installs
-// SIGSEGV/SIGABRT/SIGBUS handlers that serialize the rings as an
-// `sca-postmortem-v1` JSONL record using only async-signal-safe
-// primitives, and optionally starts a watchdog thread that dumps the
-// same record when event flow stops while spans are still active.
+// Arming (done by bench::Session) installs SIGSEGV/SIGABRT/SIGBUS
+// handlers that serialize the rings as an `sca-postmortem-v1` JSONL
+// record using only async-signal-safe primitives, and optionally starts a
+// watchdog thread that dumps the same record when event flow stops while
+// spans are still active.
 
 #include <atomic>
 #include <cstddef>
@@ -59,7 +59,7 @@ void note(EventKind kind, std::string_view name, std::uint64_t arg = 0,
           std::uint8_t level = 0);
 
 // Log feed (called by obs::logEvent before its own enabled gate): records
-// a kLog event named "component:event" so retries, failovers, evictions,
+// a kLog event named "component:event" so retries, breaker trips, evictions,
 // checkpoints etc. land in the ring even when SCA_LOG is unset.
 void noteLog(std::uint8_t level, std::string_view component,
              std::string_view event);

@@ -98,7 +98,8 @@ template <typename F>
 inline void logEvent(LogLevel level, std::string_view component,
                      std::string_view event, F&& fill) {
   // The flight recorder sees every log call site regardless of SCA_LOG, so
-  // retries, failovers, evictions and checkpoints land in the crash rings.
+  // retries, breaker trips, evictions and checkpoints land in the crash
+  // rings.
   if (flight::enabled()) {
     flight::noteLog(static_cast<std::uint8_t>(level), component, event);
   }

@@ -9,7 +9,6 @@
 #include <map>
 #include <vector>
 
-#include "obs/sketch.hpp"
 #include "obs/trace.hpp"
 #include "util/io.hpp"
 #include "util/strings.hpp"
@@ -176,7 +175,6 @@ std::string runManifestJson(const RunManifestOptions& options) {
   out += "\"env\":" + scaEnvJson() + ",\n";
   out += "\"metrics\":" + stableMetricsJson(snapshot) + ",\n";
   out += "\"runtime_metrics\":" + runtimeMetricsJson(snapshot) + ",\n";
-  out += "\"sketches\":" + SketchRegistry::global().sketchesJson() + ",\n";
   out += "\"phases\":" + phasesJson(snapshot);
   if (tracer.enabled()) {
     out += ",\n\"span_edges\":" + spanEdgesJson();

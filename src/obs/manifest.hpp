@@ -17,9 +17,6 @@
 //   "env":{"SCA_FAULT_RATE":"0.05","SCA_THREADS":"8"},
 //   "metrics":{"counters":{...},"histograms":{...}},
 //   "runtime_metrics":{"counters":{...},"gauges":{...},"histograms":{...}},
-//   "sketches":{"serve_latency_s":{"count":N,"p50":...,"p90":...,
-//               "p99":...,"p999":...,"min":...,"max":...,
-//               "sketch":{<QuantileSketch::toJson state>}},...},
 //   "phases":{"corpus_build":1.234,...},
 //   "span_edges":[{"parent":"","name":"pipeline_once","count":1,
 //                  "total_s":1.2},...],
@@ -30,9 +27,6 @@
 // formatting): byte-identical across SCA_THREADS settings for a
 // deterministic workload, which is the contract `sca_cli metrics --stable`
 // and the CI smoke step compare. Everything wall-clock lives outside it.
-// "sketches" (schema v2) snapshots SketchRegistry::global() — quantile
-// summaries plus full mergeable state, so later tooling can re-merge
-// manifests; it sits outside the stable section like runtime_metrics.
 //
 // The file is written with util::atomicWriteFile, and only by
 // bench::Session's destructor — a bench killed mid-run leaves the previous

@@ -12,7 +12,6 @@ std::string_view statusCodeName(StatusCode code) noexcept {
     case StatusCode::kTruncated: return "truncated";
     case StatusCode::kInvalidOutput: return "invalid_output";
     case StatusCode::kResourceExhausted: return "resource_exhausted";
-    case StatusCode::kDeadlineExceeded: return "deadline_exceeded";
     case StatusCode::kInvalidArgument: return "invalid_argument";
     case StatusCode::kDataLoss: return "data_loss";
     case StatusCode::kInternal: return "internal";

@@ -28,7 +28,6 @@ enum class StatusCode {
   kTruncated,          // completion cut off mid-output
   kInvalidOutput,      // completion returned but failed validation (parse)
   kResourceExhausted,  // retry budget spent; the caller must degrade
-  kDeadlineExceeded,   // request deadline budget spent; retrying cannot help
   kInvalidArgument,    // caller error; retrying the same call cannot help
   kDataLoss,           // persisted state (checkpoint) unreadable or corrupt
   kInternal,           // anything else

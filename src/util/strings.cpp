@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 namespace sca::util {
 namespace {
@@ -278,24 +277,6 @@ bool jsonIntField(std::string_view record, std::string_view field,
     value = value * 10 + (record[i] - '0');
   }
   *out = negative ? -value : value;
-  return true;
-}
-
-bool jsonDoubleField(std::string_view record, std::string_view field,
-                     double* out) {
-  const std::string needle = "\"" + std::string(field) + "\":";
-  const std::size_t start = record.find(needle);
-  if (start == std::string_view::npos) return false;
-  const std::size_t i = start + needle.size();
-  if (i >= record.size()) return false;
-  const char first = record[i];
-  if (first != '-' && (first < '0' || first > '9')) return false;
-  // strtod needs a terminated buffer; numbers this repo emits are short.
-  const std::string text(record.substr(i, 64));
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str()) return false;
-  *out = value;
   return true;
 }
 

@@ -83,12 +83,6 @@ namespace sca::util {
 [[nodiscard]] bool jsonIntField(std::string_view record,
                                 std::string_view field, long long* out);
 
-/// Extracts the numeric value of `"field":1.25` (integer or decimal,
-/// optional sign/exponent — whatever formatDouble emits). False when
-/// absent or non-numeric.
-[[nodiscard]] bool jsonDoubleField(std::string_view record,
-                                   std::string_view field, double* out);
-
 /// Builds `{"k":v,...}` incrementally with the repo's canonical idioms:
 /// keys and string values jsonEscape'd, doubles via formatDouble, nested
 /// objects spliced in raw. str() may be called at any point; the builder

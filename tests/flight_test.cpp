@@ -125,7 +125,7 @@ TEST_F(FlightTest, SpansFeedTheActiveStackIndependentlyOfTheTracer) {
 }
 
 // logEvent call sites land in the ring as "component:event" records even
-// when SCA_LOG is unset — the crash rings see retries/failovers that the
+// when SCA_LOG is unset — the crash rings see retries and breaker trips the
 // (disabled) event log never writes anywhere.
 TEST_F(FlightTest, LogEventFeedsTheRingWhenTheEventLogIsOff) {
   ASSERT_FALSE(EventLog::global().enabledFor(LogLevel::kError));

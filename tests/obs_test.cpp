@@ -11,7 +11,6 @@
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sketch.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_analysis.hpp"
 #include "runtime/parallel.hpp"
@@ -254,141 +253,6 @@ TEST_F(ObsTest, RunManifestMarksPartialAndCompleteRuns) {
   ASSERT_TRUE(topLevelEntries(metrics, &entries));
   ASSERT_FALSE(entries.empty());
   EXPECT_EQ(entries[0].first, "counters");
-}
-
-// --- quantile sketches ----------------------------------------------------
-
-TEST_F(ObsTest, QuantileSketchTracksQuantilesWithinRelativeAccuracy) {
-  QuantileSketch sketch(0.01);
-  for (int i = 1; i <= 1000; ++i) sketch.observe(static_cast<double>(i));
-  EXPECT_EQ(sketch.count(), 1000u);
-  EXPECT_DOUBLE_EQ(sketch.minValue(), 1.0);
-  EXPECT_DOUBLE_EQ(sketch.maxValue(), 1000.0);
-  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
-    const double truth = q * 1000.0;
-    const double got = sketch.quantile(q);
-    EXPECT_NEAR(got, truth, truth * 0.021)  // 2*alpha + rounding headroom
-        << "q=" << q;
-  }
-  // Non-positive observations land in the zero bucket and anchor q=0.
-  sketch.observe(0.0);
-  sketch.observe(-3.0);
-  EXPECT_DOUBLE_EQ(sketch.minValue(), 0.0);
-  EXPECT_DOUBLE_EQ(sketch.quantile(0.0), 0.0);
-}
-
-TEST_F(ObsTest, EmptyQuantileSketchReadsAsZeroes) {
-  const QuantileSketch empty;
-  EXPECT_TRUE(empty.empty());
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.999), 0.0);
-  EXPECT_DOUBLE_EQ(empty.minValue(), 0.0);
-  EXPECT_DOUBLE_EQ(empty.maxValue(), 0.0);
-  EXPECT_EQ(empty.percentilesJson(), "{\"count\":0}");
-}
-
-// The determinism contract: integer bucket merges are associative and
-// commutative, so any sharding of one observation stream serializes to the
-// same bytes.
-TEST_F(ObsTest, QuantileSketchMergeIsOrderIndependent) {
-  QuantileSketch a, b, c;
-  for (int i = 0; i < 40; ++i) a.observe(0.001 * (i + 1));
-  for (int i = 0; i < 40; ++i) b.observe(3.0 * (i + 1));
-  for (int i = 0; i < 10; ++i) c.observe(0.0);
-
-  QuantileSketch abc = a;
-  abc.merge(b);
-  abc.merge(c);
-  QuantileSketch cba = c;
-  cba.merge(b);
-  cba.merge(a);
-  QuantileSketch bcIntoA = a;  // (b merged c) merged into a: associativity
-  QuantileSketch bc = b;
-  bc.merge(c);
-  bcIntoA.merge(bc);
-
-  EXPECT_EQ(abc.toJson(), cba.toJson());
-  EXPECT_EQ(abc.toJson(), bcIntoA.toJson());
-  EXPECT_EQ(abc.count(), 90u);
-
-  // Merging an empty sketch is the identity in both directions.
-  QuantileSketch empty;
-  QuantileSketch aCopy = a;
-  aCopy.merge(empty);
-  EXPECT_EQ(aCopy.toJson(), a.toJson());
-  empty.merge(a);
-  EXPECT_EQ(empty.toJson(), a.toJson());
-
-  // Mismatched non-empty grids cannot merge meaningfully: no-op.
-  QuantileSketch coarse(0.1);
-  coarse.observe(5.0);
-  const std::string before = coarse.toJson();
-  coarse.merge(a);
-  EXPECT_EQ(coarse.toJson(), before);
-}
-
-// Same shape as StableSnapshotIsByteIdenticalAcrossThreadCounts: the
-// registry's serialized sketches may not depend on how many workers fed
-// them.
-TEST_F(ObsTest, SketchRegistryJsonIsByteIdenticalAcrossThreadCounts) {
-  SketchRegistry& registry = SketchRegistry::global();
-  std::vector<std::string> renders;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    runtime::setGlobalThreadCount(threads);
-    registry.reset();
-    runtime::parallelFor(0, 512, [&](std::size_t i) {
-      registry.observe("obs_test_sketch",
-                       static_cast<double>((i * 37) % 100) * 0.25);
-    });
-    renders.push_back(registry.sketchesJson());
-  }
-  registry.reset();
-  EXPECT_EQ(renders[0], renders[1]);
-  EXPECT_NE(renders[0].find("\"obs_test_sketch\":{\"count\":512"),
-            std::string::npos);
-  EXPECT_NE(renders[0].find("\"sketch\":{\"alpha\":0.01"),
-            std::string::npos);
-}
-
-TEST_F(ObsTest, QuantileSketchRoundTripsThroughJsonAndTheManifest) {
-  QuantileSketch sketch(0.02);
-  sketch.observe(0.0);
-  for (int i = 1; i <= 200; ++i) sketch.observe(0.01 * i * i);
-
-  QuantileSketch back;
-  ASSERT_TRUE(QuantileSketch::fromJson(sketch.toJson(), &back));
-  EXPECT_EQ(back.toJson(), sketch.toJson());
-  EXPECT_EQ(back.count(), sketch.count());
-  EXPECT_DOUBLE_EQ(back.quantile(0.99), sketch.quantile(0.99));
-
-  // Torn records (count no longer equals the bucket totals) are rejected.
-  std::string torn = sketch.toJson();
-  torn.resize(torn.rfind("],["));
-  EXPECT_FALSE(QuantileSketch::fromJson(torn, &back));
-  EXPECT_FALSE(QuantileSketch::fromJson("{\"alpha\":0.01}", &back));
-
-  // And the same sketch survives a trip through the manifest's "sketches"
-  // section — the path serve telemetry actually takes.
-  SketchRegistry::global().reset();
-  SketchRegistry::global().merge("obs_test_roundtrip", sketch);
-  RunManifestOptions options;
-  options.path = ::testing::TempDir() + "obs_test_sketch_manifest.json";
-  options.benchName = "obs_test_sketch";
-  options.complete = true;
-  ASSERT_TRUE(writeRunManifest(options).isOk());
-  const util::Result<std::string> manifest = util::readFile(options.path);
-  ASSERT_TRUE(manifest.ok());
-  const std::string section =
-      extractJsonObject(manifest.value(), "sketches");
-  ASSERT_FALSE(section.empty());
-  const std::string entry =
-      extractJsonObject(section, "obs_test_roundtrip");
-  ASSERT_FALSE(entry.empty());
-  QuantileSketch fromManifest;
-  ASSERT_TRUE(QuantileSketch::fromJson(extractJsonObject(entry, "sketch"),
-                                       &fromManifest));
-  EXPECT_EQ(fromManifest.toJson(), sketch.toJson());
-  SketchRegistry::global().reset();
 }
 
 TEST_F(ObsTest, JsonScannersHandleNestingEscapesAndMalformedInput) {

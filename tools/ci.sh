@@ -38,15 +38,8 @@
 # A paper-table step then runs the 12 table/figure benches at SCA_THREADS=1
 # and 4 and compares the SHA-256 of every CSV they write against the
 # committed tools/perf/table_digests.txt, so no change can move a reported
-# number without updating the digests in the same commit.
-#
-# A serve-telemetry smoke then proves the request-level telemetry is
-# observational: one stream served with telemetry off vs on full logging
-# (SCA_SERVE_TIMING=0 + SCA_LOG) at different thread counts must be
-# byte-identical, SCA_SERVE_TIMING=1 must decorate every data response,
-# the in-band stats op must report live fields, `sca_cli serve-report`
-# must reconstruct the lifecycles from the log, and macro_serve_load must
-# pass its load assertions and the history gate.
+# number without updating the digests in the same commit. Each bench's
+# stdout must also be byte-identical between the two thread counts.
 #
 # Finally, an ASan+UBSan tree focused on the zero-copy lexer and arena
 # parser runs lexer_test, parser_fuzz_test and roundtrip_property_test:
@@ -250,8 +243,10 @@ perf_seed_smoke
 # Paper-table pins: the same digests must come out at 1 and at 4 threads
 # (the determinism invariant) and must equal the committed ones. A change
 # that is meant to move a table updates tools/perf/table_digests.txt and
-# EXPERIMENTS.md together. Release on 4 cores: about 20 s at 4 threads, 50 s
-# at 1.
+# EXPERIMENTS.md together. Each bench's stdout (the printed table) must
+# also be byte-identical between the two thread counts; only stderr, where
+# parallel folds log their progress, may differ. Release on 4 cores: about
+# 20 s at 4 threads, 50 s at 1.
 table_digest_smoke() {
   echo "=== paper-table digests (build-release) ==="
   local t
@@ -262,170 +257,19 @@ table_digest_smoke() {
       { echo "paper-table CSVs differ from the pinned digests at" \
              "SCA_THREADS=$t" >&2; exit 1; }
   done
+  local out count=0
+  for out in build-release/table-digests-t1/*.out; do
+    cmp "$out" "build-release/table-digests-t4/$(basename "$out")" ||
+      { echo "paper-table stdout differs between SCA_THREADS=1 and 4:" \
+             "$(basename "$out")" >&2; exit 1; }
+    count=$((count + 1))
+  done
+  [ "$count" -eq 12 ] ||
+    { echo "paper-table stdout: expected 12 bench outputs, found $count" >&2
+      exit 1; }
   echo "=== paper-table digests ok ==="
 }
 table_digest_smoke
-
-# Serve-chaos smoke: the sharded serving stack's hard invariant is that a
-# chaos schedule (mid-run slow + kill, per-attempt fault injection) changes
-# WHICH shard serves and WHAT the telemetry says — never the bytes of a
-# successful response. macro_serve runs a healthy, a chaos and an overload
-# pass over one request stream and exits nonzero unless chaos successes are
-# byte-identical to the healthy run, availability stays >= 99% and the
-# drain record honestly matches the observed counts; the shell re-checks
-# the healthy/chaos digest columns so a digest mismatch is visible in the
-# CI log, not just as an exit code. A JSONL round-trip through `sca_cli
-# serve` then proves the wire loop is deterministic (two identical runs),
-# drains gracefully under a kill + shutdown schedule, and feeds the same
-# perf-history gate as every bench. (The serve/sharded unit tests also run
-# under TSan via the build-tsan suite below.)
-serve_chaos_smoke() {
-  echo "=== serve-chaos smoke (build-release) ==="
-  local dir=build-release/serve-smoke
-  rm -rf "$dir" && mkdir -p "$dir"
-  local hist="$PWD/$dir/history.jsonl"
-  local cli=build-release/tools/sca_cli
-
-  (cd "$dir" &&
-   SCA_THREADS=4 SCA_SHARDS=4 SCA_FAULT_RATE=0.15 SCA_HISTORY="$hist" \
-     ../bench/macro_serve > macro_serve.out) ||
-    { cat "$dir/macro_serve.out" >&2
-      echo "macro_serve chaos assertions failed" >&2; exit 1; }
-  local healthy_digest chaos_digest
-  healthy_digest=$(awk -F'|' '$2 ~ /healthy/ {
-    gsub(/[[:space:]]/, "", $9); print $9}' "$dir/macro_serve.out")
-  chaos_digest=$(awk -F'|' '$2 ~ /chaos/ {
-    gsub(/[[:space:]]/, "", $9); print $9}' "$dir/macro_serve.out")
-  [ -n "$healthy_digest" ] && [ "$healthy_digest" = "$chaos_digest" ] ||
-    { echo "serve-chaos smoke: chaos ok-digest '$chaos_digest' !=" \
-           "healthy '$healthy_digest'" >&2; exit 1; }
-  echo "healthy/chaos ok-digest $healthy_digest"
-
-  serve_stream() {
-    cat <<'EOF'
-{"op":"generate","id":"a0","chain":0,"challenge":0}
-{"op":"generate","id":"b0","chain":1,"challenge":1}
-{"op":"generate","id":"a1","chain":0,"challenge":2}
-{"op":"kill_shard","id":"c1","shard":1}
-{"op":"generate","id":"b1","chain":1,"challenge":3}
-{"op":"shutdown","id":"c2"}
-EOF
-  }
-  local run
-  for run in 1 2; do
-    serve_stream |
-      env SCA_THREADS=4 SCA_SHARDS=2 SCA_HISTORY="$hist" \
-        "$cli" serve > "$dir/serve_$run.jsonl" 2> /dev/null ||
-      { echo "sca_cli serve run $run failed" >&2; exit 1; }
-  done
-  cmp -s "$dir/serve_1.jsonl" "$dir/serve_2.jsonl" ||
-    { echo "serve-chaos smoke: two clean serve runs diverged" >&2; exit 1; }
-  grep -q '"status":"rejected"' "$dir/serve_1.jsonl" ||
-    { echo "serve-chaos smoke: shutdown did not reject queued work" >&2
-      exit 1; }
-  grep -q '"event":"drain"' "$dir/serve_1.jsonl" ||
-    { echo "serve-chaos smoke: no drain record emitted" >&2; exit 1; }
-
-  "$cli" history check "$hist" ||
-    { echo "history check failed over serve-smoke records" >&2; exit 1; }
-  echo "=== serve-chaos smoke ok ==="
-}
-serve_chaos_smoke
-
-# Serve-telemetry smoke: the telemetry layer's hard invariant is that it
-# OBSERVES the serving path without participating in it. One stream is
-# served three ways: a plain baseline; telemetry explicitly off but fully
-# logged (SCA_SERVE_TIMING=0 + SCA_LOG) at a different thread count and
-# with the same fault schedule — the bytes must equal the baseline; and
-# SCA_SERVE_TIMING=1, where every data response must carry a "timing"
-# object. The in-band stats ops must report live queue/latency/shard
-# fields ("--" availability while idle), serve-report must reconstruct
-# every executed request from the event log, and macro_serve_load must
-# pass its steady/replay/echo/surge assertions, land the serve sketches
-# and requests/sec in the manifest, and clear the perf-history gate.
-serve_telemetry_smoke() {
-  echo "=== serve-telemetry smoke (build-release) ==="
-  local dir=build-release/serve-telemetry-smoke
-  rm -rf "$dir" && mkdir -p "$dir"
-  local hist="$PWD/$dir/history.jsonl"
-  local cli=build-release/tools/sca_cli
-
-  telemetry_stream() {
-    cat <<'EOF'
-{"op":"stats","id":"s0"}
-{"op":"generate","id":"a0","chain":0,"challenge":0}
-{"op":"generate","id":"b0","chain":1,"challenge":1}
-{"op":"transform","id":"a1","chain":0,"source":"int main() { return 0; }"}
-{"op":"slow_shard","id":"c0","shard":0,"slowed":0}
-{"op":"stats","id":"s1"}
-EOF
-  }
-
-  telemetry_stream |
-    env SCA_THREADS=4 SCA_SHARDS=2 SCA_FAULT_RATE=0.1 \
-      "$cli" serve > "$dir/baseline.jsonl" 2> /dev/null ||
-    { echo "serve-telemetry smoke: baseline serve failed" >&2; exit 1; }
-  telemetry_stream |
-    env SCA_THREADS=1 SCA_SHARDS=2 SCA_FAULT_RATE=0.1 SCA_SERVE_TIMING=0 \
-      SCA_LOG="$dir/events.jsonl" \
-      "$cli" serve > "$dir/timing_off.jsonl" 2> /dev/null ||
-    { echo "serve-telemetry smoke: timing-off serve failed" >&2; exit 1; }
-  cmp -s "$dir/baseline.jsonl" "$dir/timing_off.jsonl" ||
-    { echo "serve-telemetry smoke: SCA_SERVE_TIMING=0 + SCA_LOG changed" \
-           "response bytes" >&2; exit 1; }
-
-  telemetry_stream |
-    env SCA_THREADS=4 SCA_SHARDS=2 SCA_FAULT_RATE=0.1 SCA_SERVE_TIMING=1 \
-      SCA_LOG="$dir/events_timing.jsonl" \
-      "$cli" serve > "$dir/timing_on.jsonl" 2> /dev/null ||
-    { echo "serve-telemetry smoke: timing-on serve failed" >&2; exit 1; }
-  local data_lines timing_lines
-  data_lines=$(grep -cE '"status":"(ok|error)"' "$dir/timing_on.jsonl" ||
-               true)
-  timing_lines=$(grep -c '"timing":{' "$dir/timing_on.jsonl" || true)
-  # Stats responses report status ok too; only the three data requests
-  # carry a timing echo.
-  [ "$timing_lines" -eq 3 ] && [ "$data_lines" -ge 3 ] ||
-    { echo "serve-telemetry smoke: expected 3 timing echoes, got" \
-           "$timing_lines (data lines: $data_lines)" >&2; exit 1; }
-
-  grep -q '"id":"s0".*"availability_pct":"--"' "$dir/baseline.jsonl" ||
-    { echo "serve-telemetry smoke: idle stats should render -- " >&2
-      exit 1; }
-  grep -q '"id":"s1".*"queue_depth":' "$dir/baseline.jsonl" &&
-    grep -q '"id":"s1".*"latency":{"count":' "$dir/baseline.jsonl" &&
-    grep -q '"id":"s1".*"shards":\[' "$dir/baseline.jsonl" ||
-    { echo "serve-telemetry smoke: live stats op missing fields" >&2
-      exit 1; }
-
-  "$cli" serve-report "$dir/events_timing.jsonl" --slowest 3 \
-    > "$dir/report.txt" ||
-    { echo "serve-telemetry smoke: serve-report failed" >&2; exit 1; }
-  grep -q '^serve-report: 3 request(s) reconstructed' "$dir/report.txt" &&
-    grep -q 'slowest requests:' "$dir/report.txt" &&
-    grep -q 'slo table:' "$dir/report.txt" ||
-    { echo "serve-telemetry smoke: report did not reconstruct the run" >&2
-      cat "$dir/report.txt" >&2; exit 1; }
-
-  (cd "$dir" &&
-   SCA_THREADS=4 SCA_HISTORY="$hist" \
-     ../bench/macro_serve_load > macro_serve_load.out) ||
-    { cat "$dir/macro_serve_load.out" >&2
-      echo "macro_serve_load assertions failed" >&2; exit 1; }
-  local manifest="$dir/bench_out/manifest.macro_serve_load.json"
-  grep -q '"schema":"sca-manifest-v2"' "$manifest" &&
-    grep -q '"serve_latency_s":{"count":' "$manifest" &&
-    grep -q '"serve_queue_depth":{"count":' "$manifest" &&
-    grep -q '"serve_shed_rate_pct":{"count":' "$manifest" &&
-    grep -q '"serve_requests_per_s":' "$manifest" ||
-    { echo "serve-telemetry smoke: manifest missing serve sketches or" \
-           "requests/sec" >&2; exit 1; }
-  "$cli" history check "$hist" ||
-    { echo "history check failed over serve-telemetry records" >&2
-      exit 1; }
-  echo "=== serve-telemetry smoke ok ==="
-}
-serve_telemetry_smoke
 
 # Out-of-core scale smoke: macro_scale generates a small corpus through the
 # sharded matrix builder and asserts its own invariants (streaming vs
@@ -563,8 +407,8 @@ compaction_smoke
 # without participating — stable output bytes are identical with the rings
 # and watchdog armed or disabled. Then both forensic paths are exercised
 # for real: a wedged pool task must trip the watchdog dump, and a SIGSEGV
-# delivered mid-chaos-run must leave a postmortem the offline reconstructor
-# can render.
+# delivered mid-run must leave a postmortem the offline reconstructor can
+# render.
 flight_smoke() {
   echo "=== flight-recorder smoke (build-release) ==="
   local dir=build-release/flight-smoke
@@ -627,13 +471,15 @@ flight_smoke() {
     { echo "flight smoke: watchdog report names no stall site" >&2
       exit 1; }
 
-  # 3) SIGSEGV mid-chaos-serve: the async-signal-safe handler must leave a
+  # 3) SIGSEGV mid-run (the stall hook holds the faults-on pipeline open
+  # long enough to deliver it): the async-signal-safe handler must leave a
   # parseable postmortem with per-thread timelines. The subshell execs the
   # bench so $! is the bench pid, not a wrapper shell.
   cd "$dir"
-  ( exec env SCA_THREADS=4 SCA_SHARDS=4 SCA_FAULT_RATE=0.15 \
+  ( exec env SCA_PIPELINE_ONCE=1 SCA_THREADS=4 SCA_FAULT_RATE=0.05 \
+      SCA_CHECKPOINT_DIR= SCA_CACHE_DIR= \
       SCA_OBS_TEST_STALL_MS=8000 SCA_FLIGHT_DIR=flight-crash \
-      ../bench/macro_serve > crash.out 2>&1 ) &
+      ../bench/micro_pipeline > crash.out 2>&1 ) &
   local pid=$!
   sleep 2
   kill -SEGV "$pid" 2> /dev/null || true

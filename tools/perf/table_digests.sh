@@ -2,7 +2,10 @@
 # Runs the 12 paper-table benches (table01..table10, fig02, fig03_05) from a
 # fresh work directory at a given SCA_THREADS and prints the SHA-256 of
 # every table/figure CSV they write, in `sha256sum` format sorted by name.
-# The suite wall time goes to stderr.
+# The suite wall time goes to stderr. Each bench's stdout and stderr are
+# kept apart in <work-dir>/<bench>.out and <bench>.err: stdout is the
+# printed table and must not depend on the thread count, while stderr
+# carries progress lines whose order does.
 #
 # Usage: tools/perf/table_digests.sh <build-dir> <threads> <work-dir>
 #
@@ -32,8 +35,8 @@ for bench in table01_datasets table02_transformed table03_binary_datasets \
              fig03_05_examples; do
   (cd "$work" &&
    env -i PATH="$PATH" HOME="${HOME:-/tmp}" SCA_THREADS="$threads" \
-     SCA_HISTORY=off "$bench_dir/$bench" > "$bench.out" 2>&1) ||
-    { echo "$bench failed; see $work/$bench.out" >&2; exit 1; }
+     SCA_HISTORY=off "$bench_dir/$bench" > "$bench.out" 2> "$bench.err") ||
+    { echo "$bench failed; see $work/$bench.out and $bench.err" >&2; exit 1; }
 done
 end=$(date +%s.%N)
 awk -v s="$start" -v e="$end" -v t="$threads" \

@@ -15,10 +15,7 @@
 //                                                   inspect/compact checkpoints
 //   sca_cli cache stats|verify|purge [dir] [manifest.json]
 //                                                   inspect the result cache
-//   sca_cli serve                                   JSONL serving loop on
-//                                                   stdin/stdout
-//   sca_cli serve-report <log> [--slowest N]        per-request lifecycle
-//                                                   report from an SCA_LOG
+//   sca_cli postmortem <file> [--events N]          read a flight-recorder dump
 //
 // No arguments (or `help`) prints the full usage listing and exits 0; an
 // unknown subcommand prints the same listing to stderr and exits nonzero.
@@ -26,7 +23,6 @@
 // Every command flushes the $SCA_TRACE Chrome trace on exit, so any
 // invocation can be profiled: SCA_TRACE=t.json sca_cli train ...
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -42,15 +38,11 @@
 #include "evasion/evasion.hpp"
 #include "llm/checkpoint.hpp"
 #include "llm/synthetic_llm.hpp"
-#include "obs/flight.hpp"
 #include "obs/flight_report.hpp"
 #include "obs/history.hpp"
 #include "obs/manifest.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_analysis.hpp"
-#include "runtime/thread_pool.hpp"
-#include "serve/report.hpp"
-#include "serve/server.hpp"
 #include "style/archetypes.hpp"
 #include "style/infer.hpp"
 #include "util/log.hpp"
@@ -102,17 +94,6 @@ void printUsage(std::ostream& out) {
       "  cache stats|verify|purge [dir] [manifest.json]\n"
       "                              inspect the result cache\n"
       "                              (default dir: $SCA_CACHE_DIR)\n"
-      "  serve                       JSONL serving loop on stdin/stdout\n"
-      "                              over a sharded LLM fleet (SCA_SHARDS,\n"
-      "                              SCA_FAULT_RATE, SCA_SERVE_QUEUE,\n"
-      "                              SCA_SERVE_BATCH, SCA_SERVE_BURST,\n"
-      "                              SCA_SERVE_DEADLINE_S, SCA_SERVE_TIMING;\n"
-      "                              schema in src/serve/protocol.hpp)\n"
-      "  serve-report <log> [--slowest N]\n"
-      "                              reconstruct per-request lifecycles\n"
-      "                              from a structured event log (SCA_LOG):\n"
-      "                              slowest-N requests and per-op SLO\n"
-      "                              table\n"
       "  postmortem <file> [--events N]\n"
       "                              reconstruct an sca-postmortem-v1\n"
       "                              flight-recorder dump (watchdog stall\n"
@@ -685,79 +666,6 @@ int cmdCheckpoints(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// `serve`: the JSONL serving loop (src/serve/server.hpp) on
-/// stdin/stdout. Responses and the drain record go to stdout; the human
-/// summary goes to stderr. With SCA_MANIFEST set, the run's manifest is
-/// written on exit; with SCA_HISTORY set, one history record is appended —
-/// the same artifacts a bench run leaves, so `sca_cli history check` and
-/// the CI smoke gates cover serving runs too.
-int cmdServe(const std::vector<std::string>& args) {
-  if (!args.empty()) return usage();
-  // Arm crash forensics for the whole serving session: a wedged shard or a
-  // crash mid-stream leaves a postmortem under bench_out/flight/.
-  obs::flight::ArmedScope flightScope(obs::flight::armOptionsFromEnv("serve"));
-  const auto start = std::chrono::steady_clock::now();
-  serve::Server server(serve::ServerOptions::fromEnv());
-  const serve::ServeStats stats = server.run(std::cin, std::cout);
-  const double totalSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  obs::recordProcessRusage();
-  const std::size_t threads = runtime::globalPool().size();
-  if (const char* manifestPath = std::getenv("SCA_MANIFEST");
-      manifestPath != nullptr && *manifestPath != '\0') {
-    obs::RunManifestOptions options;
-    options.path = manifestPath;
-    options.benchName = "serve";
-    options.complete = true;
-    options.threads = threads;
-    const util::Status status = obs::writeRunManifest(options);
-    if (!status.isOk()) {
-      std::cerr << "[manifest] write failed: " << status.toString() << '\n';
-    }
-  }
-  if (const char* historyPath = std::getenv("SCA_HISTORY");
-      historyPath != nullptr && *historyPath != '\0') {
-    if (const std::string resolved = obs::configuredHistoryPath();
-        !resolved.empty()) {
-      obs::HistoryStore store(resolved);
-      const util::Status status =
-          obs::appendRunHistory(store, "serve", threads, true, totalSeconds);
-      if (!status.isOk()) {
-        std::cerr << "[history] append failed: " << status.toString() << '\n';
-      }
-    }
-  }
-
-  std::cerr << "served " << stats.ok << "/" << stats.requests
-            << " ok (errors " << stats.errors << ", shed " << stats.shed
-            << ", rejected " << stats.rejected << ", invalid "
-            << stats.invalid << "), availability "
-            << stats.availabilityDisplay()
-            << (stats.availabilityDefined() ? "%" : "") << "\n";
-  return 0;
-}
-
-/// `serve-report <log> [--slowest N]`: reconstruct per-request lifecycles
-/// from a structured event log (src/serve/report.hpp).
-int cmdServeReport(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  std::size_t slowestN = 5;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--slowest" && i + 1 < args.size()) {
-      slowestN = static_cast<std::size_t>(
-          std::max(0LL, std::atoll(args[++i].c_str())));
-    } else {
-      return usage();
-    }
-  }
-  const serve::ServeReport report =
-      serve::ServeReport::fromLog(readFile(args[0]));
-  std::cout << report.summaryText(slowestN);
-  return report.requests().empty() ? 1 : 0;
-}
-
 int cmdCache(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
   const std::string& action = args[0];
@@ -896,8 +804,6 @@ int dispatch(const std::string& command,
   if (command == "history") return cmdHistory(args);
   if (command == "checkpoints") return cmdCheckpoints(args);
   if (command == "cache") return cmdCache(args);
-  if (command == "serve") return cmdServe(args);
-  if (command == "serve-report") return cmdServeReport(args);
   if (command == "postmortem") return cmdPostmortem(args);
   if (command == "help" || command == "--help" || command == "-h") {
     printUsage(std::cout);
