@@ -7,14 +7,13 @@
 
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
-#include "util/log.hpp"
 
 namespace sca::bench {
 
 inline int runDiversityTable(int year, const std::string& romanNumeral,
                              const std::string& outputName) {
   Session session(outputName);
-  util::setLogLevel(util::LogLevel::Info);
+  obs::EventLog::global().setStderrLevel(obs::LogLevel::kInfo);
   core::YearExperiment experiment(year,
                                   core::ExperimentConfig::fromEnv());
   const auto rows = experiment.diversity(/*minOccurrences=*/2);

@@ -12,7 +12,8 @@
 // every transformed byte and every feature double is identical across the
 // three passes (exit 1 otherwise) — and reports the cold/warm wall times
 // whose ratio the CI acceptance checks (warm must be >= 3x faster).
-// Timings land in bench_out/bench_times.json via the usual emit() path.
+// Each pass is a PhaseTimer scope, so its wall time also lands in the
+// run manifest's "phases" and the history record.
 #include <cstdlib>
 #include <iostream>
 #include <string>

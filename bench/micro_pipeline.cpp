@@ -16,6 +16,7 @@
 #include "llm/pipelines.hpp"
 #include "ml/random_forest.hpp"
 #include "runtime/thread_pool.hpp"
+#include "runtime/timer.hpp"
 #include "style/apply.hpp"
 #include "util/rng.hpp"
 

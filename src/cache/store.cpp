@@ -6,7 +6,6 @@
 
 #include "obs/log.hpp"
 #include "util/io.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace sca::cache {
@@ -56,7 +55,11 @@ DiskCache::~DiskCache() {
   if (dirty_) {
     const util::Status status = flushLocked();
     if (!status.isOk()) {
-      util::logWarn() << "cache index flush failed: " << status.toString();
+      obs::logEvent(obs::LogLevel::kWarn, "cache", "index_flush_failed",
+                    [&](util::JsonObjectBuilder& fields) {
+                      fields.add("dir", options_.dir);
+                      fields.add("error", status.toString());
+                    });
     }
   }
 }

@@ -8,12 +8,12 @@
 #include "llm/checkpoint.hpp"
 #include "llm/fault_injection.hpp"
 #include "llm/resilient_client.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/timer.hpp"
 #include "style/archetypes.hpp"
-#include "util/log.hpp"
 
 namespace sca::llm {
 namespace {
@@ -30,8 +30,10 @@ util::Result<std::string> transformStep(LlmClient& client,
   static const obs::Counter kDegradedSteps =
       obs::MetricsRegistry::global().counter("llm_degraded_steps");
   kDegradedSteps.add();
-  util::logWarn() << "transform step degraded (" << result.status().toString()
-                  << ")";
+  obs::logEvent(obs::LogLevel::kWarn, "llm", "step_degraded",
+                [&](util::JsonObjectBuilder& fields) {
+                  fields.add("error", result.status().toString());
+                });
   return fallback;
 }
 
@@ -307,8 +309,11 @@ TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
                         "ckpt_chains_written");
                 kChainsWritten.add();
               } else {
-                util::logWarn() << "checkpoint write failed: "
-                                << written.toString();
+                obs::logEvent(obs::LogLevel::kWarn, "checkpoint",
+                              "write_failed",
+                              [&](util::JsonObjectBuilder& fields) {
+                                fields.add("error", written.toString());
+                              });
               }
             }
             return outputs;

@@ -7,7 +7,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/timer.hpp"
 #include "util/strings.hpp"
 
 namespace sca::llm {
@@ -56,6 +55,14 @@ obs::Histogram& backoffDelayHistogram() {
       "llm_backoff_delay_s", {0.25, 0.5, 1, 2, 4, 8, 16, 32},
       obs::Stability::kRuntime);
   return histogram;
+}
+
+/// Simulated seconds, not wall time: a plain runtime gauge, kept out of
+/// the phases that `history check` gates as wall time.
+obs::Gauge& simulatedBackoffGauge() {
+  static obs::Gauge gauge =
+      obs::MetricsRegistry::global().gauge("llm_backoff_sim_s");
+  return gauge;
 }
 
 }  // namespace
@@ -172,7 +179,7 @@ util::Result<std::string> ResilientClient::perform(
         if (backoffLog_.size() < 4096) backoffLog_.push_back(delay);
       }
       backoffDelayHistogram().observe(delay);
-      runtime::PhaseTimes::global().add("llm_backoff_sim", delay);
+      simulatedBackoffGauge().add(delay);
       obs::logEvent(obs::LogLevel::kInfo, "llm", "retry",
                     [&](util::JsonObjectBuilder& fields) {
                       fields.addInt("attempt", attempt);

@@ -10,8 +10,9 @@
 //     drawn from a seeded stream — the schedule is a pure function of the
 //     seed, so reruns retry at identical (simulated) instants. Against the
 //     in-process model the delays are accounted, not slept: they accrue to
-//     the "llm_backoff_sim" phase and stats().simulatedBackoffSeconds; a
-//     real backend would install a sleeper via setSleeper().
+//     the runtime gauge "llm_backoff_sim_s" and
+//     stats().simulatedBackoffSeconds; a real backend would install a
+//     sleeper via setSleeper().
 //
 //   * Circuit breaker, call-count based for determinism (wall-clock
 //     cooldowns would make reruns diverge). `failureThreshold` consecutive

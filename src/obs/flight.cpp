@@ -68,7 +68,6 @@ struct Ring {
 std::size_t gCapacity = 256;
 std::atomic<Ring*> gRings[kMaxRings];
 std::atomic<std::uint32_t> gRingCount{0};
-std::atomic<std::uint32_t> gNextTid{1};
 std::atomic<std::uint64_t> gDropped{0};
 
 [[maybe_unused]] const bool gInitDone = [] {
@@ -128,7 +127,7 @@ Ring* attachRing() {
       gRingCount.fetch_add(1, std::memory_order_acq_rel);
   if (index >= kMaxRings) return nullptr;
   Ring* ring = new Ring;  // immortal, reachable through gRings
-  ring->tid = gNextTid.fetch_add(1, std::memory_order_relaxed);
+  ring->tid = threadId();
   ring->capacity = static_cast<std::uint32_t>(gCapacity);
   ring->slots = new Slot[gCapacity];
   gRings[index].store(ring, std::memory_order_release);

@@ -3,7 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <filesystem>
@@ -14,13 +14,14 @@
 namespace sca::obs {
 namespace {
 
-/// Dense per-thread id for log records, independent of the tracer's tid
-/// numbering (the log must work when tracing is off).
-std::uint32_t localTid() {
-  static std::atomic<std::uint32_t> next{1};
-  thread_local std::uint32_t tid = next.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  return tid;
+/// One write(2) for the whole line, so records from concurrent emitters
+/// (threads or processes) interleave line by line. False on failure.
+bool writeLine(int fd, std::string_view line) {
+  ssize_t n;
+  do {
+    n = ::write(fd, line.data(), line.size());
+  } while (n < 0 && errno == EINTR);
+  return n >= 0 && static_cast<std::size_t>(n) == line.size();
 }
 
 }  // namespace
@@ -40,6 +41,7 @@ std::string_view logLevelName(LogLevel level) noexcept {
     case LogLevel::kInfo: return "info";
     case LogLevel::kWarn: return "warn";
     case LogLevel::kError: return "error";
+    case LogLevel::kOff: return "off";
   }
   return "info";
 }
@@ -69,13 +71,12 @@ struct EventLog::Impl {
 EventLog::EventLog() : impl_(new Impl) {
   const char* path = std::getenv("SCA_LOG");
   if (path == nullptr || *path == '\0') return;
-  impl_->path = path;
-  if (const char* level = std::getenv("SCA_LOG_LEVEL");
-      level != nullptr && *level != '\0') {
-    minLevel_.store(static_cast<int>(parseLogLevel(level)),
-                    std::memory_order_relaxed);
+  LogLevel level = LogLevel::kInfo;
+  if (const char* name = std::getenv("SCA_LOG_LEVEL");
+      name != nullptr && *name != '\0') {
+    level = parseLogLevel(name);
   }
-  enabled_.store(true, std::memory_order_relaxed);
+  configure(path, level);
 }
 
 EventLog::~EventLog() = default;  // never runs for global()
@@ -89,42 +90,68 @@ EventLog& EventLog::global() {
 
 const std::string& EventLog::path() const { return impl_->path; }
 
+void EventLog::updateGateLocked() {
+  gate_.store(std::min(fileLevel_.load(std::memory_order_relaxed),
+                       stderrLevel_.load(std::memory_order_relaxed)),
+              std::memory_order_relaxed);
+}
+
 void EventLog::configure(std::string path, LogLevel minLevel) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   impl_->closeLocked();
   impl_->path = std::move(path);
-  minLevel_.store(static_cast<int>(minLevel), std::memory_order_relaxed);
-  enabled_.store(!impl_->path.empty(), std::memory_order_relaxed);
+  fileLevel_.store(static_cast<int>(impl_->path.empty() ? LogLevel::kOff
+                                                        : minLevel),
+                   std::memory_order_relaxed);
+  updateGateLocked();
+}
+
+void EventLog::setStderrLevel(LogLevel level) {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  stderrLevel_.store(static_cast<int>(level), std::memory_order_relaxed);
+  updateGateLocked();
 }
 
 void EventLog::write(LogLevel level, std::string_view component,
                      std::string_view event, std::string_view fieldsJson) {
+  const bool hasFields = !fieldsJson.empty() && fieldsJson != "{}";
+  if (static_cast<int>(level) >=
+      stderrLevel_.load(std::memory_order_relaxed)) {
+    std::string line;
+    line.reserve(component.size() + event.size() + fieldsJson.size() + 12);
+    line += '[';
+    line += logLevelName(level);
+    line += "] ";
+    line += component;
+    line += '.';
+    line += event;
+    if (hasFields) {
+      line += ' ';
+      line += fieldsJson;
+    }
+    line += '\n';
+    if (!writeLine(STDERR_FILENO, line)) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (static_cast<int>(level) < fileLevel_.load(std::memory_order_relaxed)) {
+    return;
+  }
+
   util::JsonObjectBuilder record;
   record.addUint("ts_ns", Tracer::global().nowNs());
   record.add("level", logLevelName(level));
-  record.addUint("tid", localTid());
+  record.addUint("tid", threadId());
   record.add("span", util::toHex64(Tracer::currentSpanId()));
   record.add("component", component);
   record.add("event", event);
-  if (!fieldsJson.empty() && fieldsJson != "{}") {
-    record.addRaw("fields", fieldsJson);
-  }
+  if (hasFields) record.addRaw("fields", fieldsJson);
   std::string line = record.str();
   line += '\n';
 
   std::lock_guard<std::mutex> lock(impl_->mutex);
   const int fd = impl_->descriptorLocked();
-  if (fd < 0) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // One write() for the whole line: O_APPEND interleaves records from
-  // concurrent emitters (threads or processes) line-by-line.
-  ssize_t n;
-  do {
-    n = ::write(fd, line.data(), line.size());
-  } while (n < 0 && errno == EINTR);
-  if (n < 0 || static_cast<std::size_t>(n) != line.size()) {
+  if (fd < 0 || !writeLine(fd, line)) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
   }
 }

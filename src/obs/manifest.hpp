@@ -55,8 +55,7 @@ struct RunManifestOptions {
   // markComplete). Emitted as "partial_cause" only when !complete, so
   // flight dumps and manifests cross-reference.
   std::string partialCause;
-  std::size_t threads = 0;         // caller-supplied (obs sits below runtime)
-  Scope scope = Scope::kLifetime;  // survives the benches' per-table resets
+  std::size_t threads = 0;  // caller-supplied (obs sits below runtime)
 };
 
 [[nodiscard]] util::Status writeRunManifest(const RunManifestOptions& options);

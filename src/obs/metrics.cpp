@@ -342,20 +342,6 @@ void MetricsRegistry::markReset() {
   for (const Instrument& i : impl_->instruments) impl_->baselineInstrument(i);
 }
 
-void MetricsRegistry::markResetCounters() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (const Instrument& i : impl_->instruments) {
-    if (i.type == InstrumentType::kCounter) impl_->baselineInstrument(i);
-  }
-}
-
-void MetricsRegistry::markResetGauges() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (const Instrument& i : impl_->instruments) {
-    if (i.type == InstrumentType::kGauge) impl_->baselineInstrument(i);
-  }
-}
-
 void MetricsRegistry::markResetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   const auto it = impl_->byName.find(name);

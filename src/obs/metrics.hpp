@@ -25,11 +25,11 @@
 // always runtime: merging doubles across shards is order-sensitive in
 // floating point, so they can never be byte-stable.
 //
-// reset is non-destructive: markReset*() snapshots a per-cell baseline and
-// Scope::kSinceReset subtracts it, so resetting never races with writers
-// and Scope::kLifetime (what the run manifest reports) survives the
-// per-table resets the benches do. Max gauges always report the lifetime
-// high-water mark (a max cannot be re-based by subtraction).
+// reset is non-destructive: markReset()/markResetCounter() snapshot a
+// per-cell baseline and Scope::kSinceReset subtracts it, so resetting
+// never races with writers and Scope::kLifetime (what the run manifest and
+// history record report) survives it. Max gauges always report the
+// lifetime high-water mark (a max cannot be re-based by subtraction).
 //
 // The global registry is intentionally immortal (never destroyed), so
 // worker threads detaching their shards during static teardown are safe.
@@ -49,7 +49,7 @@ enum class Scope { kSinceReset, kLifetime };
 
 /// Gauges recorded under this name prefix are phase wall-times; the
 /// manifest strips the prefix into its "phases" section and
-/// runtime::PhaseTimes registers through it.
+/// runtime::PhaseTimer records through it.
 inline constexpr std::string_view kPhaseGaugePrefix = "phase:";
 
 class MetricsRegistry;
@@ -146,8 +146,6 @@ class MetricsRegistry {
 
   /// Baseline the since-reset scope (non-destructive; see file comment).
   void markReset();
-  void markResetCounters();
-  void markResetGauges();
   void markResetCounter(std::string_view name);
 
  private:

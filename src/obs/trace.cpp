@@ -20,12 +20,21 @@ thread_local std::uint64_t tlsCurrentSpan = 0;
 /// Per-thread span sequence number; combined with the tid for unique ids.
 thread_local std::uint64_t tlsSpanSequence = 0;
 
+std::atomic<std::uint32_t> gNextThreadId{1};
+thread_local std::uint32_t tlsThreadId = 0;
+
 }  // namespace
+
+std::uint32_t threadId() noexcept {
+  if (tlsThreadId == 0) {
+    tlsThreadId = gNextThreadId.fetch_add(1, std::memory_order_relaxed);
+  }
+  return tlsThreadId;
+}
 
 struct Tracer::Buffer {
   std::mutex mutex;
   std::vector<TraceEvent> events;
-  std::uint32_t tid = 0;
 };
 
 struct Tracer::BufferHandle {
@@ -41,7 +50,6 @@ struct Tracer::Impl {
   mutable std::mutex mutex;
   std::vector<Buffer*> buffers;       // live threads
   std::vector<TraceEvent> retired;    // events from exited threads
-  std::uint32_t nextTid = 1;
   std::atomic<std::uint64_t> dropped{0};
   std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
@@ -75,7 +83,6 @@ Tracer::Buffer& Tracer::localBuffer() {
     handle.tracer = this;
     handle.buffer = new Buffer();
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    handle.buffer->tid = impl_->nextTid++;
     impl_->buffers.push_back(handle.buffer);
   }
   return *handle.buffer;
@@ -111,7 +118,7 @@ void Tracer::record(TraceEvent event) {
     impl_->dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  event.tid = buffer.tid;
+  event.tid = threadId();
   buffer.events.push_back(std::move(event));
 }
 
@@ -163,9 +170,9 @@ Span::Span(std::string_view name, const char* category) {
   if (traceOn) {
     active_ = true;
     parentId_ = tlsCurrentSpan;
-    // tid (assigned on buffer attach) in the high bits keeps ids unique
-    // across threads without any shared counter.
-    id_ = (static_cast<std::uint64_t>(tracer.localBuffer().tid) << 32) |
+    // The thread id in the high bits keeps ids unique across threads
+    // without any shared counter.
+    id_ = (static_cast<std::uint64_t>(threadId()) << 32) |
           (++tlsSpanSequence & 0xffffffffULL);
     tlsCurrentSpan = id_;
   }

@@ -2,7 +2,7 @@
 // trace_event JSON.
 //
 // A Span records name, category, parent linkage (the innermost live span
-// on the same thread), a dense per-thread tid and steady-clock
+// on the same thread), the thread's obs::threadId() and steady-clock
 // start/duration in nanoseconds since the tracer epoch. Completed spans
 // land in the recording thread's own buffer (one brief uncontended mutex
 // per span exit — spans are phase/task granularity, not per-token), and
@@ -33,12 +33,18 @@
 
 namespace sca::obs {
 
+/// Dense per-thread id (1, 2, ...), assigned on the thread's first call.
+/// The tracer, the event log and the flight rings all stamp this one id,
+/// so a log line's `tid` names the same thread as the Chrome trace and
+/// the postmortem timeline.
+[[nodiscard]] std::uint32_t threadId() noexcept;
+
 struct TraceEvent {
   std::string name;
   const char* category = "phase";  // static strings only
   std::uint64_t startNs = 0;       // since the tracer epoch (steady clock)
   std::uint64_t durationNs = 0;
-  std::uint32_t tid = 0;           // dense per-thread id, assigned on attach
+  std::uint32_t tid = 0;           // threadId() of the recording thread
   std::uint64_t id = 0;            // unique non-zero span id
   std::uint64_t parentId = 0;      // 0 = root (no enclosing span)
 };

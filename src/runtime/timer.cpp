@@ -7,9 +7,7 @@
 
 namespace sca::runtime {
 
-namespace detail {
-
-void applyPhaseTestDelay() {
+PhaseTimer::~PhaseTimer() {
   static const int delayMs = [] {
     const char* env = std::getenv("SCA_OBS_TEST_DELAY_MS");
     return env != nullptr && *env != '\0' ? std::atoi(env) : 0;
@@ -17,70 +15,14 @@ void applyPhaseTestDelay() {
   if (delayMs > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
   }
-}
-
-}  // namespace detail
-
-namespace {
-
-std::string phaseGaugeName(std::string_view phase) {
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count();
   std::string name;
-  name.reserve(obs::kPhaseGaugePrefix.size() + phase.size());
+  name.reserve(obs::kPhaseGaugePrefix.size() + phase_.size());
   name += obs::kPhaseGaugePrefix;
-  name += phase;
-  return name;
+  name += phase_;
+  obs::MetricsRegistry::global().gauge(name, obs::GaugeKind::kSum).add(seconds);
 }
-
-}  // namespace
-
-PhaseTimes& PhaseTimes::global() {
-  static PhaseTimes instance;
-  return instance;
-}
-
-void PhaseTimes::add(std::string_view phase, double seconds) {
-  obs::MetricsRegistry::global()
-      .gauge(phaseGaugeName(phase), obs::GaugeKind::kSum)
-      .add(seconds);
-}
-
-std::map<std::string, double> PhaseTimes::snapshot() const {
-  const obs::MetricsSnapshot merged =
-      obs::MetricsRegistry::global().snapshot(obs::Scope::kSinceReset);
-  std::map<std::string, double> out;
-  for (const auto& [name, seconds] : merged.gauges) {
-    if (name.size() > obs::kPhaseGaugePrefix.size() &&
-        std::string_view(name).substr(0, obs::kPhaseGaugePrefix.size()) ==
-            obs::kPhaseGaugePrefix) {
-      out.emplace(name.substr(obs::kPhaseGaugePrefix.size()), seconds);
-    }
-  }
-  return out;
-}
-
-void PhaseTimes::reset() { obs::MetricsRegistry::global().markResetGauges(); }
-
-Counters& Counters::global() {
-  static Counters instance;
-  return instance;
-}
-
-void Counters::add(std::string_view key, std::uint64_t count) {
-  obs::MetricsRegistry::global().counter(key, obs::Stability::kStable)
-      .add(count);
-}
-
-std::map<std::string, std::uint64_t> Counters::snapshot() const {
-  return obs::MetricsRegistry::global()
-      .snapshot(obs::Scope::kSinceReset)
-      .counters;
-}
-
-std::uint64_t Counters::value(std::string_view key) const {
-  return obs::MetricsRegistry::global().counterValue(key,
-                                                     obs::Scope::kSinceReset);
-}
-
-void Counters::reset() { obs::MetricsRegistry::global().markResetCounters(); }
 
 }  // namespace sca::runtime

@@ -29,6 +29,7 @@ class FlightTest : public ::testing::Test {
   ~FlightTest() override {
     detail::setEnabledForTest(initiallyEnabled_);
     EventLog::global().configure("", LogLevel::kInfo);
+    EventLog::global().setStderrLevel(LogLevel::kWarn);
   }
 
   static std::string freshDir(const std::string& name) {
@@ -125,9 +126,10 @@ TEST_F(FlightTest, SpansFeedTheActiveStackIndependentlyOfTheTracer) {
 }
 
 // logEvent call sites land in the ring as "component:event" records even
-// when SCA_LOG is unset — the crash rings see retries and breaker trips the
-// (disabled) event log never writes anywhere.
+// when every log sink is off — the crash rings see retries and breaker
+// trips the (disabled) event log never writes anywhere.
 TEST_F(FlightTest, LogEventFeedsTheRingWhenTheEventLogIsOff) {
+  EventLog::global().setStderrLevel(LogLevel::kOff);
   ASSERT_FALSE(EventLog::global().enabledFor(LogLevel::kError));
   std::atomic<bool> seen{false};
   std::thread worker([&] {

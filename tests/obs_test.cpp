@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "llm/checkpoint.hpp"
+#include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -15,24 +16,44 @@
 #include "obs/trace_analysis.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
-#include "runtime/timer.hpp"
 #include "util/io.hpp"
 #include "util/strings.hpp"
 
 namespace sca::obs {
 namespace {
 
-/// Tests drive explicit pool sizes, tracer and event-log state; restore
-/// all three so the other suites sharing the process are unaffected.
+/// Tests drive explicit pool sizes, tracer, event-log and flight-recorder
+/// state; restore all of it so the other suites sharing the process are
+/// unaffected.
 class ObsTest : public ::testing::Test {
  protected:
+  ObsTest() : flightInitiallyEnabled_(flight::enabled()) {}
   ~ObsTest() override {
+    EventLog::global().configure("", LogLevel::kInfo);
+    EventLog::global().setStderrLevel(LogLevel::kWarn);
     runtime::setGlobalThreadCount(0);
     Tracer::global().setEnabled(false);
     Tracer::global().clear();
-    EventLog::global().configure("", LogLevel::kInfo);
+    flight::detail::setEnabledForTest(flightInitiallyEnabled_);
   }
+
+ private:
+  bool flightInitiallyEnabled_;
 };
+
+/// kLog events named "component:event" across every flight ring.
+std::size_t flightLogEvents(std::string_view name) {
+  std::size_t count = 0;
+  for (const flight::ThreadSnapshot& thread : flight::snapshot()) {
+    for (const flight::SnapshotEvent& event : thread.events) {
+      if (event.kind == static_cast<std::uint8_t>(flight::EventKind::kLog) &&
+          event.name == name) {
+        ++count;
+      }
+    }
+  }
+  return count;
+}
 
 // The registry's headline contract: the stable section of a snapshot is
 // byte-identical for every thread count, as long as the recorded *events*
@@ -118,28 +139,6 @@ TEST_F(ObsTest, ReRegisteringUnderADifferentTypeThrows) {
   (void)registry.counter("obs_test_typed");
 }
 
-// Satellite: the runtime::PhaseTimes / runtime::Counters shims are thin
-// veneers over the registry — the same event is visible through both APIs,
-// with no second bookkeeping copy to drift.
-TEST_F(ObsTest, RuntimeShimsLandInTheRegistry) {
-  MetricsRegistry& registry = MetricsRegistry::global();
-  registry.markReset();
-  runtime::Counters::global().add("obs_test_shim_counter", 3);
-  EXPECT_EQ(registry.counterValue("obs_test_shim_counter"), 3u);
-  EXPECT_EQ(runtime::Counters::global().value("obs_test_shim_counter"), 3u);
-
-  runtime::PhaseTimes::global().add("obs_test_shim_phase", 1.25);
-  const MetricsSnapshot snapshot = registry.snapshot();
-  const std::string gaugeName =
-      std::string(kPhaseGaugePrefix) + "obs_test_shim_phase";
-  ASSERT_EQ(snapshot.gauges.count(gaugeName), 1u);
-  EXPECT_DOUBLE_EQ(snapshot.gauges.at(gaugeName), 1.25);
-  // And the shim's own snapshot strips the prefix back off.
-  EXPECT_DOUBLE_EQ(
-      runtime::PhaseTimes::global().snapshot().at("obs_test_shim_phase"),
-      1.25);
-}
-
 TEST_F(ObsTest, SpanParentLinkageFollowsLexicalNesting) {
   Tracer& tracer = Tracer::global();
   tracer.setEnabled(true);
@@ -214,14 +213,18 @@ TEST_F(ObsTest, ChromeTraceJsonIsWellFormedAndRoundTrips) {
 }
 
 TEST_F(ObsTest, RunManifestMarksPartialAndCompleteRuns) {
-  MetricsRegistry::global().markReset();
-  (void)MetricsRegistry::global().counter("obs_test_manifest").add(1);
+  // The manifest reports lifetime values, so expect whatever the process
+  // has counted so far.
+  MetricsRegistry::global().counter("obs_test_manifest").add(1);
+  const std::string counted =
+      "\"obs_test_manifest\":" +
+      std::to_string(MetricsRegistry::global().counterValue(
+          "obs_test_manifest", Scope::kLifetime));
 
   RunManifestOptions options;
   options.path = ::testing::TempDir() + "obs_test_manifest.json";
   options.benchName = "obs_test_bench";
   options.threads = 3;
-  options.scope = Scope::kSinceReset;
 
   options.complete = false;
   ASSERT_TRUE(writeRunManifest(options).isOk());
@@ -248,7 +251,7 @@ TEST_F(ObsTest, RunManifestMarksPartialAndCompleteRuns) {
   ASSERT_FALSE(metrics.empty());
   const std::string counters = extractJsonObject(metrics, "counters");
   ASSERT_FALSE(counters.empty());
-  EXPECT_NE(counters.find("\"obs_test_manifest\":1"), std::string::npos);
+  EXPECT_NE(counters.find(counted), std::string::npos);
   std::vector<std::pair<std::string, std::string>> entries;
   ASSERT_TRUE(topLevelEntries(metrics, &entries));
   ASSERT_FALSE(entries.empty());
@@ -336,10 +339,101 @@ TEST_F(ObsTest, EventLogStampsTheInnermostLiveSpan) {
 TEST_F(ObsTest, DisabledEventLogWritesNothing) {
   EventLog& log = EventLog::global();
   log.configure("", LogLevel::kDebug);
+  log.setStderrLevel(LogLevel::kOff);
   EXPECT_FALSE(log.enabledFor(LogLevel::kError));
   // Call sites stay armed; with no sink they must be inert and crash-free.
   logEvent(LogLevel::kError, "test", "dropped",
            [](util::JsonObjectBuilder& fields) { fields.addInt("n", 1); });
+}
+
+// The stderr sink prints one "[level] component.event {fields}" line per
+// record at or above its own threshold (kWarn by default), independently
+// of the JSONL file; one logEvent call feeds the file, stderr and the
+// flight ring alike.
+TEST_F(ObsTest, StderrSinkPrintsOneLineAtItsOwnThreshold) {
+  EventLog& log = EventLog::global();
+  const auto probe = [] {
+    logEvent(LogLevel::kInfo, "obs_test", "stderr_probe",
+             [](util::JsonObjectBuilder& fields) { fields.addInt("n", 3); });
+  };
+  const std::string expectedLine = "[info] obs_test.stderr_probe {\"n\":3}\n";
+
+  ::testing::internal::CaptureStderr();
+  probe();
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  log.setStderrLevel(LogLevel::kInfo);
+  ::testing::internal::CaptureStderr();
+  probe();
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), expectedLine);
+
+  const std::string path = ::testing::TempDir() + "obs_test_stderr.jsonl";
+  ASSERT_TRUE(util::atomicWriteFile(path, "").isOk());
+  log.configure(path, LogLevel::kInfo);
+  flight::detail::setEnabledForTest(true);
+  const std::size_t ringBefore = flightLogEvents("obs_test:stderr_probe");
+  ::testing::internal::CaptureStderr();
+  probe();
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), expectedLine);
+  log.configure("", LogLevel::kInfo);
+
+  EXPECT_EQ(flightLogEvents("obs_test:stderr_probe"), ringBefore + 1);
+  const util::Result<std::string> content = util::readFile(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(std::count(content.value().begin(), content.value().end(), '\n'),
+            1);
+  EXPECT_NE(content.value().find("\"event\":\"stderr_probe\""),
+            std::string::npos);
+  EXPECT_NE(content.value().find("\"fields\":{\"n\":3}"), std::string::npos);
+}
+
+// One thread, one id: a span, a log line and a flight event recorded on the
+// same thread all carry obs::threadId().
+TEST_F(ObsTest, TraceLogAndFlightShareOneThreadId) {
+  Tracer::global().setEnabled(true);
+  Tracer::global().clear();
+  flight::detail::setEnabledForTest(true);
+  const std::string path = ::testing::TempDir() + "obs_test_tid.jsonl";
+  ASSERT_TRUE(util::atomicWriteFile(path, "").isOk());
+  EventLog::global().configure(path, LogLevel::kInfo);
+
+  // A thread that only takes an id: a component numbering threads on its
+  // own would now lag behind the shared id.
+  std::thread([] { (void)threadId(); }).join();
+  std::uint32_t tid = 0;
+  std::thread worker([&] {
+    tid = threadId();
+    { Span span("obs_test_tid_span"); }
+    logEvent(LogLevel::kInfo, "obs_test", "tid_probe");
+  });
+  worker.join();
+  EventLog::global().configure("", LogLevel::kInfo);
+  ASSERT_NE(tid, 0u);
+  EXPECT_NE(tid, threadId());
+
+  std::size_t spans = 0;
+  for (const TraceEvent& event : Tracer::global().snapshotEvents()) {
+    if (event.name != "obs_test_tid_span") continue;
+    ++spans;
+    EXPECT_EQ(event.tid, tid);
+  }
+  EXPECT_EQ(spans, 1u);
+
+  const util::Result<std::string> content = util::readFile(path);
+  ASSERT_TRUE(content.ok());
+  EXPECT_NE(content.value().find("\"tid\":" + std::to_string(tid) + ","),
+            std::string::npos);
+
+  std::size_t flightEvents = 0;
+  for (const flight::ThreadSnapshot& thread : flight::snapshot()) {
+    if (thread.tid != tid) continue;
+    for (const flight::SnapshotEvent& event : thread.events) {
+      if (event.name != "obs_test:tid_probe") continue;
+      ++flightEvents;
+      EXPECT_EQ(event.tid, tid);
+    }
+  }
+  EXPECT_EQ(flightEvents, 1u);
 }
 
 // Each record is appended with ONE O_APPEND write(2), so a reader tailing

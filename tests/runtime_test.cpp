@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
@@ -122,27 +126,17 @@ TEST_F(RuntimeTest, ConfiguredThreadCountIsPositive) {
   EXPECT_GE(configuredThreadCount(), 1u);
 }
 
-TEST_F(RuntimeTest, PhaseTimesAccumulateAndReset) {
-  PhaseTimes& times = PhaseTimes::global();
-  times.reset();
-  times.add("phase_a", 1.5);
-  times.add("phase_a", 0.5);
-  times.add("phase_b", 2.0);
-  const auto snapshot = times.snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_DOUBLE_EQ(snapshot.at("phase_a"), 2.0);
-  EXPECT_DOUBLE_EQ(snapshot.at("phase_b"), 2.0);
-  times.reset();
-  EXPECT_TRUE(times.snapshot().empty());
-}
-
 TEST_F(RuntimeTest, PhaseTimerRecordsScope) {
-  PhaseTimes::global().reset();
-  { PhaseTimer timer("scoped"); }
-  const auto snapshot = PhaseTimes::global().snapshot();
-  ASSERT_EQ(snapshot.count("scoped"), 1u);
-  EXPECT_GE(snapshot.at("scoped"), 0.0);
-  PhaseTimes::global().reset();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const std::string gauge = std::string(obs::kPhaseGaugePrefix) + "scoped";
+  registry.markReset();
+  {
+    PhaseTimer timer("scoped");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  ASSERT_EQ(snapshot.gauges.count(gauge), 1u);
+  EXPECT_GE(snapshot.gauges.at(gauge), 0.002);
 }
 
 }  // namespace

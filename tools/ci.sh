@@ -16,6 +16,8 @@
 # Chrome trace with sca_cli (which exits nonzero on malformed files or an
 # empty metrics snapshot), and byte-compares the stable metrics sections —
 # the registry's thread-count-invariance contract, checked on every PR.
+# A third, 8-thread run with SCA_LOG on at debug level must give the same
+# stable bytes, and its JSONL log must hold the session start and end.
 #
 # A warm-cache smoke then runs the same pipeline with the persistent cache
 # off, cold and warm (SCA_CACHE_DIR), byte-compares outputs and stable
@@ -88,6 +90,23 @@ obs_smoke() {
   done
   cmp "$dir/stable_t1.json" "$dir/stable_t8.json" ||
     { echo "stable metrics differ between SCA_THREADS=1 and 8" >&2; exit 1; }
+  # The event log observes without participating: the same 8-thread run
+  # with the JSONL log on at debug level must produce the same stable
+  # bytes, and the log must hold the bench session's start and end.
+  (cd "$dir" &&
+   SCA_PIPELINE_ONCE=1 SCA_THREADS=8 SCA_FAULT_RATE=0.05 \
+     SCA_CHECKPOINT_DIR= SCA_CACHE_DIR= \
+     SCA_TRACE=trace_log_t8.json SCA_MANIFEST=manifest_log_t8.json \
+     SCA_LOG=log_t8.jsonl SCA_LOG_LEVEL=debug ../bench/micro_pipeline)
+  build-release/tools/sca_cli metrics "$dir/manifest_log_t8.json" --stable \
+    > "$dir/stable_log_t8.json"
+  cmp "$dir/stable_t8.json" "$dir/stable_log_t8.json" ||
+    { echo "stable metrics differ with SCA_LOG on (t=8)" >&2; exit 1; }
+  local event
+  for event in session_start session_end; do
+    grep -q "\"event\":\"$event\"" "$dir/log_t8.jsonl" ||
+      { echo "log_t8.jsonl has no $event event" >&2; exit 1; }
+  done
   echo "=== observability smoke ok ==="
 }
 obs_smoke

@@ -45,7 +45,6 @@
 #include "obs/trace_analysis.hpp"
 #include "style/archetypes.hpp"
 #include "style/infer.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -816,7 +815,6 @@ int dispatch(const std::string& command,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::setLogLevel(util::LogLevel::Warn);
   if (argc < 2) {
     // Bare invocation is a request for orientation, not a mistake.
     printUsage(std::cout);
