@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "ml/dataset.hpp"
 #include "runtime/parallel.hpp"
@@ -35,8 +36,15 @@ void AttributionModel::train(const std::vector<std::string>& sources,
   runtime::PhaseTimer timer("forest_train");
   selector_ = features::FeatureSelector();
   selector_.fit(x, labels, config_.selectTopK);
+  // The fit adds a feature-major copy of the rows; keep only one row-major
+  // copy alive beside it.
   ml::Dataset data;
-  data.x = selector_.applyAll(x);
+  if (selector_.identity()) {
+    data.x = std::move(x);
+  } else {
+    data.x = selector_.applyAll(x);
+    x.clear();
+  }
   data.y = labels;
   forest_ = ml::RandomForest(config_.forest);
   forest_.fit(data);
