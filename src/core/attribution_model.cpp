@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -20,18 +21,29 @@ AttributionModel::AttributionModel(ModelConfig config)
 
 void AttributionModel::train(const std::vector<std::string>& sources,
                              const std::vector<int>& labels) {
-  if (sources.size() != labels.size()) {
+  const features::FeatureTable table = [&] {
+    runtime::PhaseTimer timer("feature_extract");
+    return features::FeatureTable(sources);
+  }();
+  std::vector<std::size_t> rows(sources.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  train(table, rows, labels);
+}
+
+void AttributionModel::train(const features::FeatureTable& table,
+                             const std::vector<std::size_t>& rows,
+                             const std::vector<int>& labels) {
+  if (rows.size() != labels.size()) {
     throw std::invalid_argument("AttributionModel::train: size mismatch");
   }
-  if (sources.empty()) {
+  if (rows.empty()) {
     throw std::invalid_argument("AttributionModel::train: empty corpus");
   }
   std::vector<std::vector<double>> x;
   {
     runtime::PhaseTimer timer("feature_extract");
-    extractor_ = features::FeatureExtractor(config_.extractor);
-    extractor_.fit(sources);
-    x = extractor_.transformAll(sources);
+    extractor_ = table.fitExtractor(config_.extractor, rows);
+    x = table.project(extractor_, rows);
   }
   runtime::PhaseTimer timer("forest_train");
   selector_ = features::FeatureSelector();
@@ -65,6 +77,14 @@ std::vector<int> AttributionModel::predictAll(
           },
           runtime::ParallelOptions{.maxWorkers = 0, .grain = 8});
   return forest_.predictAll(rows);
+}
+
+std::vector<int> AttributionModel::predictRows(
+    const features::FeatureTable& table,
+    const std::vector<std::size_t>& rows) const {
+  runtime::PhaseTimer timer("predict");
+  return forest_.predictAll(
+      selector_.applyAll(table.project(extractor_, rows)));
 }
 
 std::vector<double> AttributionModel::predictProba(

@@ -9,6 +9,7 @@
 
 #include "features/extractor.hpp"
 #include "features/selection.hpp"
+#include "features/table.hpp"
 #include "ml/random_forest.hpp"
 
 namespace sca::core {
@@ -26,13 +27,25 @@ class AttributionModel {
 
   /// Trains on parallel arrays of source text and class label (labels must
   /// be contiguous from 0). The feature vocabularies, the selector and the
-  /// forest are all fitted on exactly these samples.
+  /// forest are all fitted on exactly these samples: the all-rows view of
+  /// a one-off FeatureTable over `sources`.
   void train(const std::vector<std::string>& sources,
+             const std::vector<int>& labels);
+
+  /// Trains on rows `rows` (ascending) of `table`, `labels[i]` being the
+  /// class of rows[i]. The same model as train() on those rows' sources.
+  void train(const features::FeatureTable& table,
+             const std::vector<std::size_t>& rows,
              const std::vector<int>& labels);
 
   [[nodiscard]] int predict(const std::string& source) const;
   [[nodiscard]] std::vector<int> predictAll(
       const std::vector<std::string>& sources) const;
+
+  /// predictAll() of the sources of `rows` of `table`, read from the table.
+  [[nodiscard]] std::vector<int> predictRows(
+      const features::FeatureTable& table,
+      const std::vector<std::size_t>& rows) const;
 
   /// Per-class vote fractions for one source.
   [[nodiscard]] std::vector<double> predictProba(

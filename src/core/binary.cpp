@@ -4,6 +4,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "core/folds.hpp"
 #include "ml/metrics.hpp"
 #include "obs/log.hpp"
 
@@ -60,31 +61,31 @@ struct FoldOutcome {
 std::vector<FoldOutcome> runFolds(const std::vector<BinaryRow>& rows,
                                   std::size_t challengeCount,
                                   const ModelConfig& modelConfig) {
+  std::vector<const std::string*> sources;
+  std::vector<int> labels;
+  std::vector<int> challenges;
+  for (const BinaryRow& row : rows) {
+    sources.push_back(row.source);
+    labels.push_back(row.label);
+    challenges.push_back(row.challenge);
+  }
+  const features::FeatureTable table = extractTable(sources);
+
+  // Folds run one after another: each holds its own rows and forest, so
+  // running them concurrently multiplies peak memory.
   std::vector<FoldOutcome> outcomes;
   for (std::size_t held = 0; held < challengeCount; ++held) {
-    std::vector<std::string> trainSources;
-    std::vector<int> trainLabels;
-    FoldOutcome outcome;
-    outcome.challenge = held;
-    std::vector<std::string> testSources;
-    for (const BinaryRow& row : rows) {
-      if (static_cast<std::size_t>(row.challenge) == held) {
-        outcome.testRows.push_back(&row);
-        testSources.push_back(*row.source);
-      } else {
-        trainSources.push_back(*row.source);
-        trainLabels.push_back(row.label);
-      }
-    }
+    const FoldRows fold = holdOut(challenges, static_cast<int>(held));
     obs::logEvent(obs::LogLevel::kInfo, "core", "binary_fold",
                   [&](util::JsonObjectBuilder& fields) {
                     fields.addUint("fold", held + 1);
-                    fields.addUint("train", trainSources.size());
-                    fields.addUint("test", testSources.size());
+                    fields.addUint("train", fold.train.size());
+                    fields.addUint("test", fold.test.size());
                   });
-    AttributionModel model(modelConfig);
-    model.train(trainSources, trainLabels);
-    outcome.predicted = model.predictAll(testSources);
+    FoldOutcome outcome;
+    outcome.challenge = held;
+    for (const std::size_t i : fold.test) outcome.testRows.push_back(&rows[i]);
+    outcome.predicted = predictFold(table, labels, fold, modelConfig);
     outcomes.push_back(std::move(outcome));
   }
   return outcomes;
@@ -131,6 +132,10 @@ BinaryCombinedResult binaryCombined(std::vector<YearExperiment*> years,
   if (years.empty()) {
     throw std::invalid_argument("binaryCombined: no years given");
   }
+  if (years.size() > 3) {
+    // The result has one accuracy column per year and an "All" column.
+    throw std::invalid_argument("binaryCombined: at most three years");
+  }
   BinaryCombinedResult result;
   result.challengesPerYear = challengesPerYear;
   std::vector<BinaryRow> rows;
@@ -149,7 +154,7 @@ BinaryCombinedResult binaryCombined(std::vector<YearExperiment*> years,
   std::array<double, 4> sums{};
   for (const FoldOutcome& outcome : outcomes) {
     std::array<double, 4> row{};
-    for (std::size_t y = 0; y < result.years.size() && y < 3; ++y) {
+    for (std::size_t y = 0; y < result.years.size(); ++y) {
       const int yearTag = result.years[y];
       row[y] = accuracyWhere(outcome, [yearTag](const BinaryRow& r) {
         return r.year == yearTag;

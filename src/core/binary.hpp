@@ -33,7 +33,8 @@ struct BinaryCombinedResult {
 };
 
 /// Runs the combined experiment over the given years (the paper combines
-/// 2017+2018+2019 with 5 challenges each -> 6,000 samples).
+/// 2017+2018+2019 with 5 challenges each -> 6,000 samples). Throws
+/// std::invalid_argument for no years or more than three.
 [[nodiscard]] BinaryCombinedResult binaryCombined(
     std::vector<YearExperiment*> years, std::size_t challengesPerYear = 5);
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "core/folds.hpp"
 #include "ml/metrics.hpp"
 #include "obs/log.hpp"
 #include "runtime/parallel.hpp"
@@ -120,23 +121,23 @@ const std::vector<int>& YearExperiment::oracleLabels() {
 std::vector<double> YearExperiment::baselineFoldAccuracies() {
   const corpus::YearDataset& data = corpusData();
   const std::size_t challengeCount = data.challenges.size();
+  std::vector<const std::string*> sources;
+  std::vector<int> labels;
+  std::vector<int> challenges;
+  for (const corpus::CodeSample& sample : data.samples) {
+    sources.push_back(&sample.source);
+    labels.push_back(sample.authorId);
+    challenges.push_back(sample.challengeIndex);
+  }
+  const features::FeatureTable table = extractTable(sources);
   // Each fold trains an independent model, so folds run concurrently on
   // the shared pool; ordered collection keeps the per-challenge layout.
   return runtime::parallelMap<double>(challengeCount, [&](std::size_t held) {
-    std::vector<std::string> trainSources, testSources;
-    std::vector<int> trainLabels, testLabels;
-    for (const corpus::CodeSample& sample : data.samples) {
-      if (static_cast<std::size_t>(sample.challengeIndex) == held) {
-        testSources.push_back(sample.source);
-        testLabels.push_back(sample.authorId);
-      } else {
-        trainSources.push_back(sample.source);
-        trainLabels.push_back(sample.authorId);
-      }
-    }
-    AttributionModel model(config_.model);
-    model.train(trainSources, trainLabels);
-    return ml::accuracy(testLabels, model.predictAll(testSources));
+    const FoldRows fold = holdOut(challenges, static_cast<int>(held));
+    std::vector<int> testLabels;
+    for (const std::size_t row : fold.test) testLabels.push_back(labels[row]);
+    return ml::accuracy(testLabels,
+                        predictFold(table, labels, fold, config_.model));
   });
 }
 
@@ -215,23 +216,29 @@ YearExperiment::AttributionResult YearExperiment::attribution(
   const int chatgptClass = static_cast<int>(config_.authorCount);
 
   // 205-class corpus: every human sample + the ChatGPT set.
-  struct Row {
-    const std::string* source;
-    int label;
-    int challenge;
-    bool isChatGpt;
-  };
-  std::vector<Row> rows;
-  rows.reserve(data.samples.size() + set.sampleIndices.size());
+  std::vector<const std::string*> sources;
+  std::vector<int> rowLabels;
+  std::vector<int> challenges;
+  std::vector<bool> isChatGpt;
+  const std::size_t rowCount = data.samples.size() + set.sampleIndices.size();
+  sources.reserve(rowCount);
+  rowLabels.reserve(rowCount);
+  challenges.reserve(rowCount);
+  isChatGpt.reserve(rowCount);
   for (const corpus::CodeSample& sample : data.samples) {
-    rows.push_back(Row{&sample.source, sample.authorId,
-                       sample.challengeIndex, false});
+    sources.push_back(&sample.source);
+    rowLabels.push_back(sample.authorId);
+    challenges.push_back(sample.challengeIndex);
+    isChatGpt.push_back(false);
   }
   for (const std::size_t i : set.sampleIndices) {
     const llm::TransformedSample& sample = transformed.samples[i];
-    rows.push_back(
-        Row{&sample.source, chatgptClass, sample.challengeIndex, true});
+    sources.push_back(&sample.source);
+    rowLabels.push_back(chatgptClass);
+    challenges.push_back(sample.challengeIndex);
+    isChatGpt.push_back(true);
   }
+  const features::FeatureTable table = extractTable(sources);
 
   AttributionResult result;
   result.approach = approach;
@@ -243,49 +250,36 @@ YearExperiment::AttributionResult YearExperiment::attribution(
   // Ordered collection reproduces the serial C1..C8 fold order exactly.
   result.folds = runtime::parallelMap<AttributionFold>(
       challengeCount, [&](std::size_t held) {
-        std::vector<std::string> trainSources;
-        std::vector<int> trainLabels;
-        std::vector<std::string> testSources;
-        std::vector<int> testLabels;
-        std::vector<bool> testIsChatGpt;
-        for (const Row& row : rows) {
-          if (static_cast<std::size_t>(row.challenge) == held) {
-            testSources.push_back(*row.source);
-            testLabels.push_back(row.label);
-            testIsChatGpt.push_back(row.isChatGpt);
-          } else {
-            trainSources.push_back(*row.source);
-            trainLabels.push_back(row.label);
-          }
-        }
+        const FoldRows split = holdOut(challenges, static_cast<int>(held));
         obs::logEvent(obs::LogLevel::kInfo, "core", "attribution_fold",
                       [&](util::JsonObjectBuilder& fields) {
                         fields.add("approach", approachName(approach));
                         fields.addInt("year", year_);
                         fields.addUint("fold", held + 1);
-                        fields.addUint("train", trainSources.size());
-                        fields.addUint("test", testSources.size());
+                        fields.addUint("train", split.train.size());
+                        fields.addUint("test", split.test.size());
                       });
-        AttributionModel model(config_.model);
-        model.train(trainSources, trainLabels);
-        const std::vector<int> predicted = model.predictAll(testSources);
+        const std::vector<int> predicted =
+            predictFold(table, rowLabels, split, config_.model);
 
-        AttributionFold fold;
-        fold.challenge = static_cast<int>(held);
-        fold.accuracy205 = ml::accuracy(testLabels, predicted);
-
+        std::vector<int> testLabels;
         std::size_t chatgptTotal = 0, chatgptHits = 0;
         std::size_t targetTotal = 0, targetHits = 0;
         for (std::size_t i = 0; i < predicted.size(); ++i) {
-          if (testIsChatGpt[i]) {
+          const std::size_t row = split.test[i];
+          testLabels.push_back(rowLabels[row]);
+          if (isChatGpt[row]) {
             ++chatgptTotal;
             if (predicted[i] == chatgptClass) ++chatgptHits;
           }
-          if (set.targetLabel >= 0 && testLabels[i] == set.targetLabel) {
+          if (set.targetLabel >= 0 && rowLabels[row] == set.targetLabel) {
             ++targetTotal;
-            if (predicted[i] == testLabels[i]) ++targetHits;
+            if (predicted[i] == rowLabels[row]) ++targetHits;
           }
         }
+        AttributionFold fold;
+        fold.challenge = static_cast<int>(held);
+        fold.accuracy205 = ml::accuracy(testLabels, predicted);
         // "Correctly classified" = a strict majority of the held-out samples
         // carry the right label; an even split is a failure to recognize.
         fold.chatgptTestCount = chatgptTotal;

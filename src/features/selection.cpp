@@ -2,16 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <stdexcept>
 
 namespace sca::features {
 namespace {
 
-double entropyOfCounts(const std::map<int, std::size_t>& counts,
+/// Number of classes of a label vector (max label + 1); throws on a
+/// negative label, which no count array can index.
+std::size_t classCount(const std::vector<int>& y) {
+  int maxLabel = -1;
+  for (const int label : y) {
+    if (label < 0) {
+      throw std::invalid_argument("FeatureSelector: negative label");
+    }
+    maxLabel = std::max(maxLabel, label);
+  }
+  return static_cast<std::size_t>(maxLabel + 1);
+}
+
+/// Entropy of per-label counts, summed in ascending label order (the order
+/// the std::map these arrays replaced iterated in), zero counts skipped.
+double entropyOfCounts(const std::vector<std::size_t>& counts,
                        std::size_t total) {
   if (total == 0) return 0.0;
   double h = 0.0;
-  for (const auto& [label, count] : counts) {
+  for (const std::size_t count : counts) {
     if (count == 0) continue;
     const double p = static_cast<double>(count) / static_cast<double>(total);
     h -= p * std::log(p);
@@ -22,8 +37,8 @@ double entropyOfCounts(const std::map<int, std::size_t>& counts,
 }  // namespace
 
 double labelEntropy(const std::vector<int>& y) {
-  std::map<int, std::size_t> counts;
-  for (const int label : y) ++counts[label];
+  std::vector<std::size_t> counts(classCount(y), 0);
+  for (const int label : y) ++counts[static_cast<std::size_t>(label)];
   return entropyOfCounts(counts, y.size());
 }
 
@@ -31,29 +46,40 @@ void FeatureSelector::fit(const std::vector<std::vector<double>>& x,
                           const std::vector<int>& y, std::size_t k) {
   selected_.clear();
   gains_.clear();
+  if (x.size() != y.size()) {
+    throw std::invalid_argument("FeatureSelector::fit: size mismatch");
+  }
+  const std::size_t classes = classCount(y);
   if (x.empty()) return;
   const std::size_t dims = x[0].size();
   if (k == 0 || k >= dims) return;  // identity
 
   const double baseEntropy = labelEntropy(y);
+  const double total = static_cast<double>(x.size());
   gains_.resize(dims, 0.0);
+  std::vector<double> column(x.size());
+  std::vector<std::size_t> below(classes), above(classes);
   for (std::size_t d = 0; d < dims; ++d) {
+    // One contiguous gather per column; the mean is summed in training-row
+    // order, as before.
+    for (std::size_t i = 0; i < x.size(); ++i) column[i] = x[i][d];
     double mean = 0.0;
-    for (const auto& row : x) mean += row[d];
-    mean /= static_cast<double>(x.size());
+    for (const double v : column) mean += v;
+    mean /= total;
 
-    std::map<int, std::size_t> below, above;
-    std::size_t belowCount = 0, aboveCount = 0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (x[i][d] <= mean) {
-        ++below[y[i]];
+    std::fill(below.begin(), below.end(), 0);
+    std::fill(above.begin(), above.end(), 0);
+    std::size_t belowCount = 0;
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      const auto label = static_cast<std::size_t>(y[i]);
+      if (column[i] <= mean) {
+        ++below[label];
         ++belowCount;
       } else {
-        ++above[y[i]];
-        ++aboveCount;
+        ++above[label];
       }
     }
-    const double total = static_cast<double>(x.size());
+    const std::size_t aboveCount = x.size() - belowCount;
     const double conditional =
         (static_cast<double>(belowCount) / total) *
             entropyOfCounts(below, belowCount) +

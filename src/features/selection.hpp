@@ -14,7 +14,8 @@ namespace sca::features {
 class FeatureSelector {
  public:
   /// Scores features on (x, y) and keeps the `k` highest-gain columns.
-  /// If k >= dimension or k == 0, selection is the identity.
+  /// If k >= dimension or k == 0, selection is the identity. Throws
+  /// std::invalid_argument on a size mismatch or a negative label.
   void fit(const std::vector<std::vector<double>>& x,
            const std::vector<int>& y, std::size_t k);
 
@@ -46,7 +47,8 @@ class FeatureSelector {
   std::vector<double> gains_;
 };
 
-/// Shannon entropy (nats) of an integer label vector.
+/// Shannon entropy (nats) of a label vector. Throws std::invalid_argument
+/// on a negative label.
 [[nodiscard]] double labelEntropy(const std::vector<int>& y);
 
 }  // namespace sca::features

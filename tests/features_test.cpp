@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "ast/parser.hpp"
+#include "ast/visit.hpp"
 #include "corpus/dataset.hpp"
 #include "features/extractor.hpp"
 #include "features/selection.hpp"
+#include "features/table.hpp"
 #include "features/vocabulary.hpp"
 
 namespace sca::features {
@@ -227,6 +231,156 @@ TEST(Selection, FromIndicesProjects) {
 TEST(Selection, LabelEntropy) {
   EXPECT_DOUBLE_EQ(labelEntropy({1, 1, 1}), 0.0);
   EXPECT_NEAR(labelEntropy({0, 1}), std::log(2.0), 1e-9);
+}
+
+TEST(Selection, MeanIsSummedInRowOrder) {
+  // Summed in row order the first column's mean is 0.2 / 4 (1 + 1e16
+  // rounds to 1e16), so 0.2 lies above it; summed backwards it is 1 / 4
+  // and 0.2 would fall below, splitting the labels evenly (zero gain).
+  const std::vector<std::vector<double>> x = {
+      {1.0, 0.0}, {1e16, 0.0}, {-1e16, 0.0}, {0.2, 0.0}};
+  FeatureSelector sel;
+  sel.fit(x, {0, 1, 0, 1}, 1);
+  const double third = 1.0 / 3.0;
+  const double aboveEntropy =
+      -(third * std::log(third) + (2 * third) * std::log(2 * third));
+  EXPECT_NEAR(sel.gains()[0], std::log(2.0) - 0.75 * aboveEntropy, 1e-12);
+}
+
+TEST(Selection, RejectsNegativeLabels) {
+  const std::vector<std::vector<double>> x = {{1, 2}, {3, 4}, {5, 6}};
+  FeatureSelector sel;
+  EXPECT_THROW(sel.fit(x, {0, -1, 1}, 1), std::invalid_argument);
+  EXPECT_THROW(sel.fit(x, {0, 1}, 1), std::invalid_argument);
+  EXPECT_THROW((void)labelEntropy({2, -3}), std::invalid_argument);
+}
+
+// --------------------------------------------------------- feature table --
+
+/// A small corpus plus the awkward cases: an empty source, one without
+/// identifiers, garbage, and two documents whose terms tie.
+std::vector<std::string> tableCorpus() {
+  std::vector<std::string> sources;
+  const corpus::YearDataset ds = corpus::buildYearDataset(2017, 3);
+  for (const corpus::CodeSample& s : ds.samples) sources.push_back(s.source);
+  sources.push_back("");
+  sources.push_back("{ return 1 + 2; }");
+  sources.push_back("not really c++ @@@ ;; }}} (( \x01 #");
+  sources.push_back("int alpha; int beta;");
+  sources.push_back("int beta; int alpha;");
+  sources.push_back(kSampleA);
+  sources.push_back(kSampleB);
+  return sources;
+}
+
+std::vector<std::string> bigramsOf(const std::string& source) {
+  return ast::stmtKindBigrams(ast::parse(source).unit);
+}
+
+/// The extractor a fold of `table` fits and the rows it projects must be
+/// the ones FeatureExtractor::fit/transform give on the fold's sources.
+void expectFoldMatchesExtractor(const FeatureTable& table,
+                                const std::vector<std::string>& sources,
+                                const ExtractorConfig& config,
+                                const std::vector<std::size_t>& train,
+                                const std::vector<std::size_t>& test) {
+  std::vector<std::string> trainSources;
+  std::vector<std::vector<std::string>> identifierDocs, bigramDocs;
+  for (const std::size_t row : train) {
+    trainSources.push_back(sources[row]);
+    identifierDocs.push_back(identifierTerms(sources[row]));
+    bigramDocs.push_back(bigramsOf(sources[row]));
+  }
+  const FeatureExtractor fold = table.fitExtractor(config, train);
+  EXPECT_EQ(fold.identifierVocabulary().terms(),
+            Vocabulary::fit(identifierDocs, config.identifierVocabulary)
+                .terms());
+  EXPECT_EQ(fold.bigramVocabulary().terms(),
+            Vocabulary::fit(bigramDocs, config.bigramVocabulary).terms());
+  FeatureExtractor fitted(config);
+  fitted.fit(trainSources);
+  EXPECT_EQ(fold.featureNames(), fitted.featureNames());
+
+  for (const std::vector<std::size_t>* rows : {&train, &test}) {
+    const std::vector<std::vector<double>> projected =
+        table.project(fold, *rows);
+    ASSERT_EQ(projected.size(), rows->size());
+    for (std::size_t k = 0; k < rows->size(); ++k) {
+      const std::vector<double> expected =
+          fold.transform(sources[(*rows)[k]]);
+      ASSERT_EQ(projected[k].size(), expected.size());
+      EXPECT_EQ(std::memcmp(projected[k].data(), expected.data(),
+                            expected.size() * sizeof(double)),
+                0)
+          << "row " << (*rows)[k];
+    }
+  }
+}
+
+/// Leave-one-group-out folds over `groups` groups (row i in group
+/// i % groups), plus the all-rows view with nothing held out.
+void expectTableMatchesExtractor(const ExtractorConfig& config,
+                                 std::size_t groups) {
+  const std::vector<std::string> sources = tableCorpus();
+  const FeatureTable table(sources);
+  ASSERT_EQ(table.rows(), sources.size());
+  for (std::size_t held = 0; held < groups; ++held) {
+    std::vector<std::size_t> train, test;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      (i % groups == held ? test : train).push_back(i);
+    }
+    expectFoldMatchesExtractor(table, sources, config, train, test);
+  }
+  std::vector<std::size_t> all(sources.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  expectFoldMatchesExtractor(table, sources, config, all, {});
+}
+
+TEST(FeatureTable, FoldsMatchFitAndTransform) {
+  expectTableMatchesExtractor(ExtractorConfig{}, 4);
+}
+
+TEST(FeatureTable, TiesAtTheVocabularyCutoff) {
+  ExtractorConfig narrow;
+  narrow.identifierVocabulary = 3;
+  narrow.bigramVocabulary = 2;
+  expectTableMatchesExtractor(narrow, 5);
+
+  // alpha and beta tie on document frequency; the name breaks the tie.
+  ExtractorConfig one;
+  one.identifierVocabulary = 1;
+  const FeatureTable table(
+      std::vector<std::string>{"int beta; int alpha;", "int alpha, beta;"});
+  EXPECT_EQ(table.fitExtractor(one, {0, 1}).identifierVocabulary().terms(),
+            std::vector<std::string>{"alpha"});
+}
+
+TEST(FeatureTable, VocabularyLargerThanTheDictionary) {
+  ExtractorConfig wide;
+  wide.identifierVocabulary = 100000;
+  wide.bigramVocabulary = 100000;
+  expectTableMatchesExtractor(wide, 3);
+}
+
+TEST(FeatureTable, EachFamilySwitchOff) {
+  for (int off = 0; off < 3; ++off) {
+    ExtractorConfig config;
+    config.useLexical = off != 0;
+    config.useLayout = off != 1;
+    config.useSyntactic = off != 2;
+    SCOPED_TRACE(off);
+    expectTableMatchesExtractor(config, 3);
+  }
+}
+
+TEST(FeatureTable, RejectsMalformedRows) {
+  const FeatureTable table(std::vector<std::string>{kSampleA, kSampleB});
+  const ExtractorConfig config;
+  EXPECT_THROW((void)table.fitExtractor(config, {1, 0}), std::invalid_argument);
+  EXPECT_THROW((void)table.fitExtractor(config, {0, 0}), std::invalid_argument);
+  EXPECT_THROW((void)table.fitExtractor(config, {2}), std::invalid_argument);
+  const FeatureExtractor fitted = table.fitExtractor(config, {0});
+  EXPECT_THROW((void)table.project(fitted, {2}), std::out_of_range);
 }
 
 // -------------------------------------------------------- analysis cache --
