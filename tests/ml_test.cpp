@@ -1,15 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <limits>
-#include <map>
-#include <set>
 #include <sstream>
 
-#include "ml/cross_validation.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/matrix.hpp"
 #include "ml/metrics.hpp"
@@ -508,80 +504,6 @@ TEST(Metrics, ConfusionValidatesRange) {
 TEST(Metrics, PercentFormatting) {
   EXPECT_EQ(percent(0.931), "93.1");
   EXPECT_EQ(percent(1.0, 0), "100");
-}
-
-TEST(CrossValidation, GroupIndicesPartition) {
-  const auto idx = groupIndices({1, 0, 1, 2, 0});
-  ASSERT_EQ(idx.size(), 3u);
-  EXPECT_EQ(idx.at(0), (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(idx.at(1), (std::vector<std::size_t>{0, 2}));
-}
-
-TEST(CrossValidation, LeaveOneGroupOutUsesAllRowsOnce) {
-  const Dataset data = blobs(12, 10);  // groups 0..3
-  std::atomic<std::size_t> tested{0};  // folds run concurrently
-  const auto folds = leaveOneGroupOut(
-      data, [&](const Dataset& train, const Dataset& test) {
-        EXPECT_EQ(train.size() + test.size(), data.size());
-        RandomForest forest(ForestConfig{.treeCount = 10});
-        forest.fit(train);
-        tested += test.size();
-        return forest.predictAll(test);  // folds are views; x stays empty
-      });
-  EXPECT_EQ(folds.size(), 4u);
-  EXPECT_EQ(tested, data.size());
-  EXPECT_GT(meanAccuracy(folds), 0.9);
-}
-
-TEST(CrossValidation, StratifiedSplitBalancesClasses) {
-  std::vector<int> labels;
-  for (int i = 0; i < 40; ++i) labels.push_back(i % 4);
-  const Split split = stratifiedSplit(labels, 0.25, 7);
-  EXPECT_EQ(split.trainIndices.size() + split.testIndices.size(), 40u);
-  std::map<int, int> testPerClass;
-  for (const std::size_t i : split.testIndices) ++testPerClass[labels[i]];
-  for (int label = 0; label < 4; ++label) {
-    EXPECT_EQ(testPerClass[label], 2 + 1 /* ~25% of 10, rounded */)
-        << "class " << label;
-  }
-  // Deterministic in seed; different seeds differ.
-  const Split again = stratifiedSplit(labels, 0.25, 7);
-  EXPECT_EQ(split.testIndices, again.testIndices);
-}
-
-TEST(CrossValidation, StratifiedSplitValidatesFraction) {
-  EXPECT_THROW(stratifiedSplit({0, 1}, 0.0, 1), std::invalid_argument);
-  EXPECT_THROW(stratifiedSplit({0, 1}, 1.0, 1), std::invalid_argument);
-}
-
-TEST(CrossValidation, StratifiedKFoldPartitions) {
-  std::vector<int> labels;
-  for (int i = 0; i < 30; ++i) labels.push_back(i % 3);
-  const auto folds = stratifiedKFold(labels, 5, 11);
-  ASSERT_EQ(folds.size(), 5u);
-  std::set<std::size_t> seen;
-  for (const auto& fold : folds) {
-    EXPECT_EQ(fold.size(), 6u);
-    std::map<int, int> perClass;
-    for (const std::size_t i : fold) {
-      ++perClass[labels[i]];
-      EXPECT_TRUE(seen.insert(i).second) << "index " << i << " duplicated";
-    }
-    for (const auto& [label, count] : perClass) EXPECT_EQ(count, 2);
-  }
-  EXPECT_EQ(seen.size(), 30u);
-  EXPECT_THROW(stratifiedKFold(labels, 1, 1), std::invalid_argument);
-}
-
-TEST(CrossValidation, RequiresGroups) {
-  Dataset data = blobs(4, 11);
-  data.groups.clear();
-  EXPECT_THROW(
-      leaveOneGroupOut(data,
-                       [](const Dataset&, const Dataset& test) {
-                         return std::vector<int>(test.size(), 0);
-                       }),
-      std::invalid_argument);
 }
 
 }  // namespace
