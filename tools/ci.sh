@@ -49,10 +49,13 @@
 #
 # Finally, an ASan+UBSan tree focused on raw offset arithmetic runs
 # lexer_test, parser_fuzz_test and roundtrip_property_test (the zero-copy
-# lexer's string_view offsets and the arena parser's node ids) plus
-# ml_test and matrix_test (the forest fit's feature-major `f * rows + i`
-# column offsets and the mmap'ed matrix rows): exactly what
-# -fsanitize=address,undefined exists to check.
+# lexer's string_view offsets and the arena parser's node ids), ml_test
+# and matrix_test (the forest fit's feature-major `f * rows + i` column
+# offsets and the mmap'ed matrix rows), features_test (the feature
+# table's CSR term offsets, `row * width` fixed-column offsets and the
+# selector's per-label count arrays) and core_test (the fold row indices
+# into that table): exactly what -fsanitize=address,undefined exists to
+# check.
 #
 # Usage: tools/ci.sh [jobs]     (default: nproc)
 set -euo pipefail
@@ -559,8 +562,9 @@ SCA_FAULT_RATE="${SCA_CI_FAULT_RATE:-0.05}" \
 # this tree.
 ubsan_focus() {
   local targets=(lexer_test parser_fuzz_test roundtrip_property_test
-                 ml_test matrix_test)
-  echo "=== configure build-asan-ubsan (lexer/parser/forest/matrix focus) ==="
+                 ml_test matrix_test features_test core_test)
+  echo "=== configure build-asan-ubsan (lexer/parser/forest/matrix/feature" \
+       "table focus) ==="
   cmake -B build-asan-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSCA_SANITIZE=address+undefined
   echo "=== build build-asan-ubsan ==="
