@@ -4,14 +4,16 @@
 // generation + 4 settings x 6 transform steps) followed by feature
 // extraction over every produced sample:
 //
-//   cache_off   no store attached: the PR-1 baseline,
-//   cache_cold  store attached but purged: pays every put,
-//   cache_warm  same store, in-memory caches cleared: served from disk.
+//   cache_off   no store attached: every LLM call computed,
+//   cache_cold  store attached but purged: computes and pays every put,
+//   cache_warm  same store, in-memory caches cleared: LLM results served
+//               from disk (feature analyses are always recomputed).
 //
 // The bench asserts the subsystem's hard invariant — a combined digest of
 // every transformed byte and every feature double is identical across the
-// three passes (exit 1 otherwise) — and reports the cold/warm wall times
-// whose ratio the CI acceptance checks (warm must be >= 3x faster).
+// three passes (exit 1 otherwise) — and reports two ratios: cold/warm,
+// which the CI acceptance checks (warm must be >= 3x faster), and off/warm,
+// what a warm store saves over running with no store at all.
 // Each pass is a PhaseTimer scope, so its wall time also lands in the
 // run manifest's "phases" and the history record.
 #include <cstdlib>
@@ -75,13 +77,6 @@ std::uint64_t runPass(const corpus::YearDataset& data,
   return digest;
 }
 
-/// Resets the in-memory layers so each pass starts from the same process
-/// state; only the disk store (when attached) carries warmth across passes.
-void resetMemory(cache::DiskCache* store) {
-  features::setAnalysisDiskCache(store);
-  features::clearAnalysisCache();
-}
-
 }  // namespace
 
 int main() {
@@ -114,19 +109,20 @@ int main() {
   std::uint64_t coldDigest = 0;
   std::uint64_t warmDigest = 0;
 
-  resetMemory(nullptr);
+  // Each pass starts with an empty analysis memo; only the disk store (when
+  // attached) carries warmth across passes.
+  features::clearAnalysisCache();
   const double offSeconds = timedPass("cache_off", nullptr, &offDigest);
 
   if (!store.purge().isOk()) {
     std::cerr << "[micro_cache] purge failed for " << dir << "\n";
     return 1;
   }
-  resetMemory(&store);
+  features::clearAnalysisCache();
   const double coldSeconds = timedPass("cache_cold", &store, &coldDigest);
 
-  resetMemory(&store);
+  features::clearAnalysisCache();
   const double warmSeconds = timedPass("cache_warm", &store, &warmDigest);
-  resetMemory(nullptr);
 
   const cache::DiskCache::Stats stats = store.stats();
 
@@ -141,7 +137,11 @@ int main() {
   table.addRow({"cache_warm", util::formatDouble(warmSeconds, 3),
                 util::toHex64(warmDigest), std::to_string(stats.hits), "-"});
   const double speedup = warmSeconds > 0.0 ? coldSeconds / warmSeconds : 0.0;
+  const double offSpeedup =
+      warmSeconds > 0.0 ? offSeconds / warmSeconds : 0.0;
   table.addRow({"speedup (cold/warm)", util::formatDouble(speedup, 2) + "x",
+                "", "", ""});
+  table.addRow({"speedup (off/warm)", util::formatDouble(offSpeedup, 2) + "x",
                 "", "", ""});
   bench::emit(table, "micro_cache");
 

@@ -9,8 +9,7 @@
 //        are simply never addressed again — they age out through LRU
 //        instead of being migrated or poisoning reads.
 //   lo — the *content* half: the request/content fingerprint (for LLM
-//        entries, the conversation-folded request hash; for analyses,
-//        the source hash).
+//        entries, the conversation-folded request hash).
 //
 // Collisions require both halves to collide, and the halves are derived
 // from independent inputs, so a 64-bit content hash is comfortably safe

@@ -378,7 +378,7 @@ DiskCache* DiskCache::processCache() {
     if (dir == nullptr || *dir == '\0') return nullptr;
     StoreOptions options;
     options.dir = dir;
-    // The shared store absorbs bursts of analysis spills; flushing every
+    // A cold build puts one LLM result per transform step; flushing every
     // 32nd put keeps the index rewrite amortized while a crash costs at
     // most 31 warm entries (values stay intact as orphans).
     options.flushInterval = 32;

@@ -1,10 +1,11 @@
 // DiskCache: a crash-safe, content-addressed, on-disk LRU cache.
 //
-// This is what lets repeated bench runs, CV folds and repeated-transform
-// sweeps amortize LLM and stylometry cost across *processes* — the shape
-// of workload the attribution literature runs constantly (50-step NCT/CT
-// schedules per setting, re-extracted per fold). The in-memory caches of
-// PR 1 die with the process; this store does not.
+// This is what lets repeated bench runs and repeated-transform sweeps
+// amortize LLM cost across *processes* — the shape of workload the
+// attribution literature runs constantly (50-step NCT/CT schedules per
+// setting). Its one client is llm::CachingClient. Feature analyses are not
+// stored: re-analysing a source costs less than restoring it from disk, so
+// they live only in the extractor's in-memory memo.
 //
 // On-disk layout under `dir`:
 //

@@ -305,14 +305,20 @@ RegressionReport checkRegressions(const std::vector<HistoryRecord>& records,
         (current.envClass.empty() ? "" : " env=" + current.envClass);
 
     // Correctness first: the stable-metric digest of comparable runs must
-    // not drift, no matter how fast the run was.
-    if (policy.checkDigest && baseline.back()->digest != current.digest) {
+    // not drift, no matter how fast the run was. Every record in the window
+    // counts, so a committed seed is compared with a run that follows other
+    // fresh runs, not only the one record just before it.
+    const auto differing = std::find_if(
+        baseline.begin(), baseline.end(), [&](const HistoryRecord* past) {
+          return past->digest != current.digest;
+        });
+    if (policy.checkDigest && differing != baseline.end()) {
       RegressionFinding finding;
       finding.bench = current.bench;
       finding.group = groupLabel;
       finding.kind = "digest";
       finding.detail = "stable-metric digest changed " +
-                       baseline.back()->digest + " -> " + current.digest;
+                       (*differing)->digest + " -> " + current.digest;
       report.findings.push_back(std::move(finding));
     }
 

@@ -159,7 +159,7 @@ struct RegressionReport {
 /// Checks the newest complete record of every comparable group against the
 /// median of up to `policy.window` preceding complete records. Perf
 /// findings need both the relative factor and the absolute slack exceeded
-/// (noise tolerance); a digest mismatch against the most recent baseline
+/// (noise tolerance); a digest that differs from any record in the window
 /// is always a finding — correctness outranks speed.
 [[nodiscard]] RegressionReport checkRegressions(
     const std::vector<HistoryRecord>& records, const RegressionPolicy& policy);

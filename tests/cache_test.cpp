@@ -1,13 +1,11 @@
 // Tests for the persistent content-addressed cache (src/cache/) and its
-// two integration seams: the CachingClient LLM decorator and the feature
-// extractor's analysis spill/restore.
+// integration seam, the CachingClient LLM decorator.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,7 +14,6 @@
 #include "cache/key.hpp"
 #include "cache/store.hpp"
 #include "corpus/challenges.hpp"
-#include "features/extractor.hpp"
 #include "llm/caching_client.hpp"
 #include "llm/fault_injection.hpp"
 #include "llm/resilient_client.hpp"
@@ -410,70 +407,6 @@ TEST(CachingClient, ErrorsAreNotCached) {
   EXPECT_FALSE(caching.tryTransform("x").ok());
   EXPECT_EQ(store.stats().puts, 0u);
   EXPECT_EQ(store.entryCount(), 0u);
-}
-
-// --------------------------------------------------- analysis spill/restore
-
-/// Scoped attach: points the extractor's analysis cache at `store` and
-/// restores the process default afterwards (tests share one process).
-class ScopedAnalysisDisk {
- public:
-  explicit ScopedAnalysisDisk(DiskCache* store) {
-    features::setAnalysisDiskCache(store);
-    features::clearAnalysisCache();
-  }
-  ~ScopedAnalysisDisk() {
-    features::setAnalysisDiskCache(nullptr);
-    features::clearAnalysisCache();
-  }
-};
-
-TEST(AnalysisDiskCache, RestoredAnalysesReproduceFeatureVectorsExactly) {
-  DiskCache store(StoreOptions{.dir = tempDir("analysis")});
-  const std::vector<std::string> sources = {
-      "#include <iostream>\nint main() {\n  int x = 1;\n  // note\n"
-      "  for (int i = 0; i < 3; ++i) x += i;\n  std::cout << x;\n}\n",
-      "#include <bits/stdc++.h>\nusing namespace std;\n"
-      "int helper(int a, int b) { return a + b; }\n"
-      "int main() { cout << helper(1, 2); }\n",
-  };
-
-  ScopedAnalysisDisk scoped(&store);
-  features::FeatureExtractor extractor;
-  extractor.fit(sources);
-  const std::vector<std::vector<double>> fresh =
-      extractor.transformAll(sources);
-  const std::size_t spills = features::analysisCacheStats().diskSpills;
-  EXPECT_GT(spills, 0u);
-
-  // Drop the in-memory layer; the disk must reproduce the exact vectors.
-  features::clearAnalysisCache();
-  const std::vector<std::vector<double>> restored =
-      extractor.transformAll(sources);
-  EXPECT_EQ(fresh, restored);
-  EXPECT_GT(features::analysisCacheStats().diskRestores, 0u);
-}
-
-TEST(AnalysisDiskCache, CorruptSpillFallsBackToRecompute) {
-  DiskCache store(StoreOptions{.dir = tempDir("analysis_corrupt")});
-  const std::string source = "int main() { return 42; }\n";
-
-  ScopedAnalysisDisk scoped(&store);
-  features::FeatureExtractor extractor;
-  extractor.fit({source});
-  const std::vector<double> fresh = extractor.transform(source);
-
-  // Tamper with every spilled value: restores must fail checksum (or
-  // deserialization) and recompute, yielding identical features.
-  for (const auto& shard :
-       std::filesystem::directory_iterator(store.dir() + "/values")) {
-    for (const auto& file : std::filesystem::directory_iterator(shard)) {
-      std::ofstream out(file.path(), std::ios::trunc | std::ios::binary);
-      out << "garbage";
-    }
-  }
-  features::clearAnalysisCache();
-  EXPECT_EQ(extractor.transform(source), fresh);
 }
 
 }  // namespace

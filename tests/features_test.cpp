@@ -386,34 +386,53 @@ TEST(FeatureTable, RejectsMalformedRows) {
 // -------------------------------------------------------- analysis cache --
 
 TEST(AnalysisCache, CountsHitsMissesAndEntries) {
+  // The counters are process-global and monotonic, so every check is a
+  // delta from a snapshot; entries is the resident count.
   clearAnalysisCache();
-  const AnalysisCacheStats empty = analysisCacheStats();
-  EXPECT_EQ(empty.hits, 0u);
-  EXPECT_EQ(empty.misses, 0u);
-  EXPECT_EQ(empty.entries, 0u);
+  const AnalysisCacheStats before = analysisCacheStats();
+  EXPECT_EQ(before.entries, 0u);
 
   FeatureExtractor extractor;
   extractor.fit({kSampleA});  // first analysis of kSampleA: one miss
   const AnalysisCacheStats afterFit = analysisCacheStats();
-  EXPECT_EQ(afterFit.misses, 1u);
+  EXPECT_EQ(afterFit.misses - before.misses, 1u);
   EXPECT_EQ(afterFit.entries, 1u);
 
   (void)extractor.transform(kSampleA);  // same content: a hit, no new entry
   const AnalysisCacheStats afterHit = analysisCacheStats();
-  EXPECT_EQ(afterHit.hits, afterFit.hits + 1);
-  EXPECT_EQ(afterHit.misses, 1u);
+  EXPECT_EQ(afterHit.hits - afterFit.hits, 1u);
+  EXPECT_EQ(afterHit.misses, afterFit.misses);
   EXPECT_EQ(afterHit.entries, 1u);
 
   (void)extractor.transform(kSampleB);  // new content: a miss, new entry
   const AnalysisCacheStats afterMiss = analysisCacheStats();
-  EXPECT_EQ(afterMiss.misses, 2u);
+  EXPECT_EQ(afterMiss.hits, afterHit.hits);
+  EXPECT_EQ(afterMiss.misses - afterHit.misses, 1u);
   EXPECT_EQ(afterMiss.entries, 2u);
 
-  clearAnalysisCache();
+  clearAnalysisCache();  // drops entries, never the counts
   const AnalysisCacheStats cleared = analysisCacheStats();
-  EXPECT_EQ(cleared.hits, 0u);
-  EXPECT_EQ(cleared.misses, 0u);
+  EXPECT_EQ(cleared.hits, afterMiss.hits);
+  EXPECT_EQ(cleared.misses, afterMiss.misses);
   EXPECT_EQ(cleared.entries, 0u);
+}
+
+TEST(AnalysisCache, DiffAcrossAClearCountsExactlyTheLookupsMade) {
+  FeatureExtractor extractor;
+  extractor.fit({kSampleA});
+  (void)extractor.transform(kSampleA);  // resident before the snapshot
+
+  const AnalysisCacheStats before = analysisCacheStats();
+  (void)extractor.transform(kSampleA);  // hit
+  clearAnalysisCache();
+  (void)extractor.transform(kSampleA);  // miss: the clear dropped it
+  (void)extractor.transform(kSampleA);  // hit
+  (void)extractor.transform(kSampleB);  // miss
+  const AnalysisCacheStats after = analysisCacheStats();
+
+  EXPECT_EQ(after.hits - before.hits, 2u);
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(after.entries, 2u);
 }
 
 TEST(AnalysisCache, WarmCacheIsTransparent) {

@@ -222,6 +222,22 @@ TEST(RegressionTest, DigestChangeIsAlwaysFlagged) {
   EXPECT_TRUE(checkRegressions(records, lenient).ok());
 }
 
+TEST(RegressionTest, DigestChangeAnywhereInTheWindowIsFlagged) {
+  // Three runs agree on A, then three on B: the newest B run matches the
+  // record just before it but not the A runs still in the window.
+  std::vector<HistoryRecord> records;
+  for (int i = 0; i < 3; ++i) records.push_back(makeRecord("a", 1.0));
+  for (int i = 0; i < 3; ++i) {
+    records.push_back(makeRecord("a", 1.0, "00000000000000bb"));
+  }
+  const RegressionReport report = checkRegressions(records, {});
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].kind, "digest");
+  EXPECT_EQ(report.findings[0].detail,
+            "stable-metric digest changed 00000000000000aa -> "
+            "00000000000000bb");
+}
+
 TEST(RegressionTest, PartialRunsAreIgnored) {
   std::vector<HistoryRecord> records = {makeRecord("a", 1.0),
                                         makeRecord("a", 1.0)};

@@ -7,11 +7,13 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
 
 #include "ast/parser.hpp"
+#include "cache/codec.hpp"
 #include "corpus/dataset.hpp"
 #include "llm/checkpoint.hpp"
 #include "llm/client.hpp"
@@ -21,6 +23,7 @@
 #include "llm/synthetic_llm.hpp"
 #include "util/io.hpp"
 #include "util/status.hpp"
+#include "util/strings.hpp"
 
 namespace sca::llm {
 namespace {
@@ -680,100 +683,63 @@ TEST(Checkpoint, KillAndResumeIsBitIdentical) {
   }
 }
 
-// ----------------------------------------------------------- chain pack
+TEST(Checkpoint, LeftoverPackIsIgnored) {
+  const corpus::YearDataset corpus = corpus::buildYearDataset(2018, 10);
+  BuildOptions plain;
+  plain.steps = 3;
+  const TransformedDataset uncheckpointed =
+      buildTransformedDataset(corpus, plain);
 
-ChainKey packKey(int challenge) {
-  ChainKey key = testKey();
-  key.challenge = challenge;
-  return key;
-}
-
-TEST(ChainPack, CompactionPacksLooseFilesAndLoadsFallBack) {
-  const std::string dir = tempDir("pack_roundtrip");
-  const std::vector<std::string> outputs = {"first\n", "second \"q\"", ""};
-  for (int challenge = 0; challenge < 3; ++challenge) {
-    ASSERT_TRUE(
-        writeChainCheckpoint(dir, packKey(challenge), outputs).isOk());
+  // Fold a real build's chains, each with its sources tampered, into the
+  // single pack file an older format used ("sca-chainpack-v1": magic,
+  // count, {name, offset, length} index, then the loose files' bytes), and
+  // leave only the pack behind. A build that read it would diverge.
+  BuildOptions checkpointed = plain;
+  checkpointed.checkpointDir = tempDir("ckpt_leftover_pack");
+  const std::string& dir = checkpointed.checkpointDir;
+  (void)buildTransformedDataset(corpus, checkpointed);
+  std::map<std::string, std::string> chains;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const auto content = util::readFile(entry.path().string());
+    ASSERT_TRUE(content.ok());
+    chains[entry.path().filename().string()] = util::replaceAll(
+        content.value(), "\"source\":\"", "\"source\":\"tampered ");
+    std::filesystem::remove(entry.path());
   }
-
-  const auto compacted = compactCheckpoints(dir);
-  ASSERT_TRUE(compacted.ok()) << compacted.status().toString();
-  EXPECT_EQ(compacted.value().packedChains, 3u);
-  EXPECT_EQ(compacted.value().removedFiles, 3u);
-
-  // No loose chain files survive; the pack indexes all three.
-  for (int challenge = 0; challenge < 3; ++challenge) {
-    EXPECT_FALSE(std::filesystem::exists(
-        chainCheckpointPath(dir, packKey(challenge))));
+  ASSERT_FALSE(chains.empty());
+  constexpr std::string_view kPackMagic = "sca-chainpack-v1";
+  std::uint64_t offset = 4 + kPackMagic.size() + 8;
+  for (const auto& [name, content] : chains) offset += 4 + name.size() + 16;
+  cache::ByteWriter index;
+  index.str(kPackMagic);
+  index.u64(chains.size());
+  for (const auto& [name, content] : chains) {
+    index.str(name);
+    index.u64(offset);
+    index.u64(content.size());
+    offset += content.size();
   }
-  const auto index = readChainPackIndex(chainPackPath(dir));
-  ASSERT_TRUE(index.ok());
-  ASSERT_EQ(index.value().size(), 3u);
+  std::string pack = index.take();
+  for (const auto& [name, content] : chains) pack += content;
+  const std::string packPath = dir + "/chains" + ".pack";
+  ASSERT_TRUE(util::atomicWriteFile(packPath, pack).isOk());
 
-  // Loads are served from the pack and pass the same validation.
-  for (int challenge = 0; challenge < 3; ++challenge) {
-    const auto loaded = loadChainCheckpoint(dir, packKey(challenge));
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    EXPECT_EQ(loaded.value(), outputs);
+  // The pack is a miss: every chain is recomputed and written loose.
+  const TransformedDataset rebuilt =
+      buildTransformedDataset(corpus, checkpointed);
+  ASSERT_EQ(rebuilt.samples.size(), uncheckpointed.samples.size());
+  for (std::size_t i = 0; i < rebuilt.samples.size(); ++i) {
+    ASSERT_EQ(rebuilt.samples[i].source, uncheckpointed.samples[i].source)
+        << "sample " << i;
+    ASSERT_EQ(rebuilt.samples[i].setting, uncheckpointed.samples[i].setting);
+    ASSERT_EQ(rebuilt.samples[i].step, uncheckpointed.samples[i].step);
   }
-  // A key the pack does not hold still misses cleanly.
-  EXPECT_FALSE(loadChainCheckpoint(dir, packKey(9)).ok());
-  // Stale keys are rejected even when the bytes come from the pack.
-  ChainKey wrongOrigin = packKey(0);
-  wrongOrigin.originHash = util::hash64("not the original");
-  EXPECT_FALSE(loadChainCheckpoint(dir, wrongOrigin).ok());
-}
-
-TEST(ChainPack, LooseFileWinsAndRecompactionMerges) {
-  const std::string dir = tempDir("pack_merge");
-  const std::vector<std::string> stale = {"old a", "old b", "old c"};
-  const std::vector<std::string> fresh = {"new a", "new b", "new c"};
-
-  ASSERT_TRUE(writeChainCheckpoint(dir, packKey(0), stale).isOk());
-  ASSERT_TRUE(writeChainCheckpoint(dir, packKey(1), stale).isOk());
-  ASSERT_TRUE(compactCheckpoints(dir).ok());
-
-  // A newer loose file for chain 0 shadows its packed copy...
-  ASSERT_TRUE(writeChainCheckpoint(dir, packKey(0), fresh).isOk());
-  auto loaded = loadChainCheckpoint(dir, packKey(0));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value(), fresh);
-
-  // ...and wins the merge when compaction runs again.
-  const auto recompacted = compactCheckpoints(dir);
-  ASSERT_TRUE(recompacted.ok());
-  EXPECT_EQ(recompacted.value().packedChains, 2u);
-  EXPECT_EQ(recompacted.value().removedFiles, 1u);
-  loaded = loadChainCheckpoint(dir, packKey(0));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value(), fresh);
-  loaded = loadChainCheckpoint(dir, packKey(1));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value(), stale);
-}
-
-TEST(ChainPack, EmptyDirectoryAndCorruptPackAreHandled) {
-  const std::string dir = tempDir("pack_edge");
-  const auto noop = compactCheckpoints(dir);
-  ASSERT_TRUE(noop.ok());
-  EXPECT_EQ(noop.value().packedChains, 0u);
-  EXPECT_FALSE(std::filesystem::exists(chainPackPath(dir)));
-
-  ASSERT_TRUE(
-      writeChainCheckpoint(dir, packKey(0), {"x", "y", "z"}).isOk());
-  ASSERT_TRUE(compactCheckpoints(dir).ok());
-
-  // Truncate the pack mid-payload: the index read fails loudly and a load
-  // degrades to a clean miss instead of crashing or returning torn bytes.
-  const auto packed = util::readFile(chainPackPath(dir));
-  ASSERT_TRUE(packed.ok());
-  {
-    std::ofstream torn(chainPackPath(dir),
-                       std::ios::binary | std::ios::trunc);
-    torn << packed.value().substr(0, packed.value().size() / 2);
+  for (const auto& [name, content] : chains) {
+    EXPECT_TRUE(std::filesystem::exists(dir + "/" + name)) << name;
   }
-  EXPECT_FALSE(readChainPackIndex(chainPackPath(dir)).ok());
-  EXPECT_FALSE(loadChainCheckpoint(dir, packKey(0)).ok());
+  const auto leftover = util::readFile(packPath);
+  ASSERT_TRUE(leftover.ok());
+  EXPECT_EQ(leftover.value(), pack);
 }
 
 // -------------------------------------------------- end-to-end invariants

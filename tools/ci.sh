@@ -43,6 +43,11 @@
 # number without updating the digests in the same commit. Each bench's
 # stdout must also be byte-identical between the two thread counts.
 #
+# A checkpoint-resume smoke runs the one-shot pipeline with
+# SCA_CHECKPOINT_DIR set, requires `sca_cli checkpoints` to report every
+# loose chain file complete, and byte-compares the pipeline digests of a
+# rerun resumed from those files with the first run's.
+#
 # A benchmark smoke then runs perfbench/smoke.py: all four BENCHMARK.json
 # workloads at smoke size, traced and untraced, whose digests must agree.
 # It is the only step that drives the benchmark harness.
@@ -390,46 +395,43 @@ scale_smoke() {
 }
 scale_smoke
 
-# Checkpoint-compaction smoke: chains written by a real pipeline run are
-# folded into the single-file pack, the inspector must list them as packed,
-# and a rerun served from the pack must reproduce the loose-file run's
+# Checkpoint-resume smoke: a real pipeline run writes one loose chain file
+# per (setting, challenge), the inspector must report every one complete,
+# and a rerun resumed from those files must reproduce the first run's
 # pipeline digests byte for byte.
-compaction_smoke() {
-  echo "=== checkpoint-compaction smoke (build-release) ==="
-  local dir=build-release/compaction-smoke
+checkpoint_smoke() {
+  echo "=== checkpoint-resume smoke (build-release) ==="
+  local dir=build-release/checkpoint-smoke
   rm -rf "$dir" && mkdir -p "$dir"
   local cli=build-release/tools/sca_cli
   local ckpt="$PWD/$dir/ckpt"
 
-  run_once() {
+  run_once() {  # run_once <tag>; the JSONL debug log records each resume
     (cd "$dir" &&
      SCA_PIPELINE_ONCE=1 SCA_THREADS=2 SCA_FAULT_RATE=0.05 \
        SCA_CHECKPOINT_DIR="$ckpt" SCA_CACHE_DIR= \
-       ../bench/micro_pipeline) | grep '^\[pipeline\]'
+       SCA_LOG="log_$1.jsonl" SCA_LOG_LEVEL=debug \
+       ../bench/micro_pipeline) | grep '^\[pipeline\]' \
+      > "$dir/pipeline_$1.txt"
   }
-  run_once > "$dir/pipeline_loose.txt"
+  run_once first
   ls "$ckpt"/chain_*.jsonl > /dev/null 2>&1 ||
-    { echo "compaction smoke: pipeline wrote no loose chains" >&2; exit 1; }
-
-  "$cli" checkpoints "$ckpt" --compact > "$dir/compact.txt" ||
-    { echo "compaction smoke: --compact failed" >&2; exit 1; }
-  if ls "$ckpt"/chain_*.jsonl > /dev/null 2>&1; then
-    echo "compaction smoke: loose chains survived compaction" >&2; exit 1
-  fi
+    { echo "checkpoint smoke: pipeline wrote no chain files" >&2; exit 1; }
   "$cli" checkpoints "$ckpt" > "$dir/inspect.txt" ||
-    { echo "compaction smoke: inspector rejected the packed dir" >&2
-      exit 1; }
-  grep -q 'pack:' "$dir/inspect.txt" ||
-    { echo "compaction smoke: inspector lists no packed chains" >&2
-      exit 1; }
+    { echo "checkpoint smoke: inspector failed" >&2; exit 1; }
+  grep -Eq '^([0-9]+)/\1 chains complete$' "$dir/inspect.txt" ||
+    { cat "$dir/inspect.txt" >&2
+      echo "checkpoint smoke: not every chain is complete" >&2; exit 1; }
 
-  run_once > "$dir/pipeline_packed.txt"
-  cmp "$dir/pipeline_loose.txt" "$dir/pipeline_packed.txt" ||
-    { echo "compaction smoke: pack-resumed run diverged from loose run" >&2
+  run_once resumed
+  grep -q '"event":"resumed"' "$dir/log_resumed.jsonl" ||
+    { echo "checkpoint smoke: rerun resumed no chain" >&2; exit 1; }
+  cmp "$dir/pipeline_first.txt" "$dir/pipeline_resumed.txt" ||
+    { echo "checkpoint smoke: resumed run diverged from the first run" >&2
       exit 1; }
-  echo "=== checkpoint-compaction smoke ok ==="
+  echo "=== checkpoint-resume smoke ok ==="
 }
-compaction_smoke
+checkpoint_smoke
 
 # Flight-recorder smoke: the recorder's hard invariant is that it OBSERVES
 # without participating — stable output bytes are identical with the rings

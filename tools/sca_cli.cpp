@@ -11,8 +11,7 @@
 //   sca_cli diff <manifestA> <manifestB>            compare two manifests
 //   sca_cli trace <trace.json> [--summary]          summarize a Chrome trace
 //   sca_cli history list|check|gc [path]            cross-run perf history
-//   sca_cli checkpoints [dir] [--purge-stale|--compact]
-//                                                   inspect/compact checkpoints
+//   sca_cli checkpoints [dir] [--purge-stale]       inspect checkpoints
 //   sca_cli cache stats|verify|purge [dir] [manifest.json]
 //                                                   inspect the result cache
 //   sca_cli postmortem <file> [--events N]          read a flight-recorder dump
@@ -83,12 +82,10 @@ void printUsage(std::ostream& out) {
       "                              cross-run perf history; default path\n"
       "                              $SCA_HISTORY or\n"
       "                              bench_out/history/history.jsonl\n"
-      "  checkpoints [dir] [--purge-stale] [--compact]\n"
+      "  checkpoints [dir] [--purge-stale]\n"
       "                              inspect chain checkpoints; with\n"
       "                              --purge-stale, delete files whose\n"
-      "                              header contradicts their filename;\n"
-      "                              with --compact, fold loose files into\n"
-      "                              the single chains.pack manifest\n"
+      "                              header contradicts their filename\n"
       "                              (default $SCA_CHECKPOINT_DIR)\n"
       "  cache stats|verify|purge [dir] [manifest.json]\n"
       "                              inspect the result cache\n"
@@ -556,12 +553,9 @@ int cmdHistory(const std::vector<std::string>& args) {
 int cmdCheckpoints(const std::vector<std::string>& args) {
   std::string dir;
   bool purgeStale = false;
-  bool compact = false;
   for (const std::string& arg : args) {
     if (arg == "--purge-stale") {
       purgeStale = true;
-    } else if (arg == "--compact") {
-      compact = true;
     } else if (dir.empty() && arg.rfind("--", 0) != 0) {
       dir = arg;
     } else {
@@ -582,18 +576,6 @@ int cmdCheckpoints(const std::vector<std::string>& args) {
     return 1;
   }
 
-  if (compact) {
-    const util::Result<llm::CompactionResult> compacted =
-        llm::compactCheckpoints(dir);
-    if (!compacted.ok()) {
-      std::cerr << "error: " << compacted.status().toString() << '\n';
-      return 1;
-    }
-    std::cout << "packed " << compacted.value().packedChains
-              << " chain(s) into " << llm::chainPackPath(dir) << ", removed "
-              << compacted.value().removedFiles << " loose file(s)\n";
-  }
-
   std::vector<std::string> paths;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -604,25 +586,8 @@ int cmdCheckpoints(const std::vector<std::string>& args) {
   }
   std::sort(paths.begin(), paths.end());
 
-  // Compacted chains live inside the pack; report them alongside the loose
-  // files (the pack index is name-sorted already).
-  std::size_t packedChains = 0;
-  const std::string packPath = llm::chainPackPath(dir);
-  if (const auto index = llm::readChainPackIndex(packPath); index.ok()) {
-    packedChains = index.value().size();
-    for (const llm::ChainPackEntry& entry : index.value()) {
-      std::cout << "pack:" << entry.name << " (" << entry.length
-                << " bytes)\n";
-    }
-  }
-
   if (paths.empty()) {
-    if (packedChains > 0) {
-      std::cout << packedChains << " chain(s) in " << packPath
-                << ", no loose checkpoints\n";
-    } else {
-      std::cout << "no chain checkpoints in " << dir << '\n';
-    }
+    std::cout << "no chain checkpoints in " << dir << '\n';
     return 0;
   }
 
@@ -655,8 +620,7 @@ int cmdCheckpoints(const std::vector<std::string>& args) {
       }
     }
   }
-  std::cout << complete << "/" << paths.size() << " loose chains complete";
-  if (packedChains > 0) std::cout << ", " << packedChains << " packed";
+  std::cout << complete << "/" << paths.size() << " chains complete";
   if (stale > 0) {
     std::cout << ", " << stale << " stale";
     if (purgeStale) std::cout << " (" << purged << " purged)";
