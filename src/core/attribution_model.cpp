@@ -33,33 +33,56 @@ void AttributionModel::train(const std::vector<std::string>& sources,
 void AttributionModel::train(const features::FeatureTable& table,
                              const std::vector<std::size_t>& rows,
                              const std::vector<int>& labels) {
-  if (rows.size() != labels.size()) {
-    throw std::invalid_argument("AttributionModel::train: size mismatch");
+  AttributionModel* const model = this;
+  const TrainingRows job{rows, labels};
+  trainAll({&model, 1}, table, {&job, 1});
+}
+
+void AttributionModel::trainAll(std::span<AttributionModel* const> models,
+                                const features::FeatureTable& table,
+                                std::span<const TrainingRows> jobs) {
+  if (models.size() != jobs.size()) {
+    throw std::invalid_argument("AttributionModel::trainAll: size mismatch");
   }
-  if (rows.empty()) {
-    throw std::invalid_argument("AttributionModel::train: empty corpus");
+  for (const TrainingRows& job : jobs) {
+    if (job.rows.size() != job.labels.size()) {
+      throw std::invalid_argument("AttributionModel::train: size mismatch");
+    }
+    if (job.rows.empty()) {
+      throw std::invalid_argument("AttributionModel::train: empty corpus");
+    }
   }
-  std::vector<std::vector<double>> x;
+  std::vector<ml::Dataset> data(models.size());
   {
     runtime::PhaseTimer timer("feature_extract");
-    extractor_ = table.fitExtractor(config_.extractor, rows);
-    x = table.project(extractor_, rows);
+    const auto prefix = [&](std::size_t i) {
+      AttributionModel& model = *models[i];
+      const TrainingRows& job = jobs[i];
+      model.extractor_ = table.fitExtractor(model.config_.extractor, job.rows);
+      model.selector_.fitStreamed(
+          [&](const features::RowVisitor& visit) {
+            table.forEachRow(model.extractor_, job.rows, visit);
+          },
+          model.extractor_.dimension(), job.labels, model.config_.selectTopK);
+      data[i].x = table.project(model.extractor_, job.rows, model.selector_);
+      data[i].y = job.labels;
+    };
+    // A lone model runs on the caller and opens no parallel region of its
+    // own, so train() keeps the regions (and stable metrics) it had.
+    if (models.size() == 1) {
+      prefix(0);
+    } else {
+      runtime::parallelFor(0, models.size(), prefix);
+    }
   }
   runtime::PhaseTimer timer("forest_train");
-  selector_ = features::FeatureSelector();
-  selector_.fit(x, labels, config_.selectTopK);
-  // The fit adds a feature-major copy of the rows; keep only one row-major
-  // copy alive beside it.
-  ml::Dataset data;
-  if (selector_.identity()) {
-    data.x = std::move(x);
-  } else {
-    data.x = selector_.applyAll(x);
-    x.clear();
+  std::vector<ml::RandomForest*> forests;
+  forests.reserve(models.size());
+  for (AttributionModel* model : models) {
+    model->forest_ = ml::RandomForest(model->config_.forest);
+    forests.push_back(&model->forest_);
   }
-  data.y = labels;
-  forest_ = ml::RandomForest(config_.forest);
-  forest_.fit(data);
+  ml::RandomForest::fitBatch(forests, data);
 }
 
 int AttributionModel::predict(const std::string& source) const {
@@ -82,9 +105,7 @@ std::vector<int> AttributionModel::predictAll(
 std::vector<int> AttributionModel::predictRows(
     const features::FeatureTable& table,
     const std::vector<std::size_t>& rows) const {
-  runtime::PhaseTimer timer("predict");
-  return forest_.predictAll(
-      selector_.applyAll(table.project(extractor_, rows)));
+  return forest_.predictAll(table.project(extractor_, rows, selector_));
 }
 
 std::vector<double> AttributionModel::predictProba(

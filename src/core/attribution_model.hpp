@@ -4,6 +4,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,9 +35,27 @@ class AttributionModel {
 
   /// Trains on rows `rows` (ascending) of `table`, `labels[i]` being the
   /// class of rows[i]. The same model as train() on those rows' sources.
+  /// trainAll() of this model alone.
   void train(const features::FeatureTable& table,
              const std::vector<std::size_t>& rows,
              const std::vector<int>& labels);
+
+  /// The training rows of one model in trainAll().
+  struct TrainingRows {
+    const std::vector<std::size_t>& rows;  // ascending rows of the table
+    const std::vector<int>& labels;        // the class of each row
+  };
+
+  /// models[i]->train(table, jobs[i].rows, jobs[i].labels) for every i,
+  /// each model under its own config. First, concurrently across models,
+  /// each fits its vocabularies, streams its training rows twice through
+  /// the selector and projects only the selected columns; then one
+  /// RandomForest::fitBatch grows every model's trees. No model holds a
+  /// full row matrix of its training rows. Throws std::invalid_argument
+  /// before any work on a size mismatch or an empty training set.
+  static void trainAll(std::span<AttributionModel* const> models,
+                       const features::FeatureTable& table,
+                       std::span<const TrainingRows> jobs);
 
   [[nodiscard]] int predict(const std::string& source) const;
   [[nodiscard]] std::vector<int> predictAll(

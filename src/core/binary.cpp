@@ -71,22 +71,30 @@ std::vector<FoldOutcome> runFolds(const std::vector<BinaryRow>& rows,
   }
   const features::FeatureTable table = extractTable(sources);
 
-  // Folds run one after another: each holds its own rows and forest, so
-  // running them concurrently multiplies peak memory.
-  std::vector<FoldOutcome> outcomes;
+  std::vector<FoldRows> folds;
   for (std::size_t held = 0; held < challengeCount; ++held) {
-    const FoldRows fold = holdOut(challenges, static_cast<int>(held));
+    folds.push_back(holdOut(challenges, static_cast<int>(held)));
     obs::logEvent(obs::LogLevel::kInfo, "core", "binary_fold",
                   [&](util::JsonObjectBuilder& fields) {
                     fields.addUint("fold", held + 1);
-                    fields.addUint("train", fold.train.size());
-                    fields.addUint("test", fold.test.size());
+                    fields.addUint("train", folds.back().train.size());
+                    fields.addUint("test", folds.back().test.size());
                   });
-    FoldOutcome outcome;
+  }
+  // Every fold at once (predictFolds): the folds' vocabularies, selection
+  // and predictions run concurrently, not fold after fold, and all their
+  // trees share one loop. Memory stays bounded: a fold streams its rows
+  // through the selector and keeps only its selected columns.
+  std::vector<std::vector<int>> predicted =
+      predictFolds(table, labels, folds, modelConfig);
+  std::vector<FoldOutcome> outcomes(challengeCount);
+  for (std::size_t held = 0; held < challengeCount; ++held) {
+    FoldOutcome& outcome = outcomes[held];
     outcome.challenge = held;
-    for (const std::size_t i : fold.test) outcome.testRows.push_back(&rows[i]);
-    outcome.predicted = predictFold(table, labels, fold, modelConfig);
-    outcomes.push_back(std::move(outcome));
+    for (const std::size_t i : folds[held].test) {
+      outcome.testRows.push_back(&rows[i]);
+    }
+    outcome.predicted = std::move(predicted[held]);
   }
   return outcomes;
 }

@@ -5,6 +5,7 @@
 // source (DESIGN.md §2.10).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,11 +26,19 @@ struct FoldRows {
 /// Rows whose group is `held` are the fold's test rows; the rest train.
 [[nodiscard]] FoldRows holdOut(const std::vector<int>& groups, int held);
 
-/// Fits a model on the fold's training rows of `table` (`labels` holds
-/// the class of every table row) and returns its predictions for the
-/// fold's test rows, in order. Bit-identical to training an
+/// Fits a model on each fold's training rows of `table` (`labels` holds
+/// the class of every table row) and returns, per fold, its predictions
+/// for the fold's test rows, in order. Bit-identical to training an
 /// AttributionModel on copies of those rows' sources and predicting the
-/// held-out sources.
+/// held-out sources. The folds' models train together
+/// (AttributionModel::trainAll), then predict concurrently, each model
+/// freed once its fold is predicted. Timed on the caller as
+/// "feature_extract", "forest_train" and "predict".
+[[nodiscard]] std::vector<std::vector<int>> predictFolds(
+    const features::FeatureTable& table, const std::vector<int>& labels,
+    std::span<const FoldRows> folds, const ModelConfig& config);
+
+/// predictFolds() of one fold.
 [[nodiscard]] std::vector<int> predictFold(const features::FeatureTable& table,
                                            const std::vector<int>& labels,
                                            const FoldRows& fold,

@@ -49,42 +49,76 @@ void FeatureSelector::fit(const std::vector<std::vector<double>>& x,
   if (x.size() != y.size()) {
     throw std::invalid_argument("FeatureSelector::fit: size mismatch");
   }
+  fitStreamed(
+      [&](const RowVisitor& visit) {
+        for (const std::vector<double>& row : x) visit(row);
+      },
+      x.empty() ? 0 : x[0].size(), y, k);
+}
+
+void FeatureSelector::fitStreamed(const RowScan& scan, std::size_t dims,
+                                  const std::vector<int>& y, std::size_t k) {
+  selected_.clear();
+  gains_.clear();
   const std::size_t classes = classCount(y);
-  if (x.empty()) return;
-  const std::size_t dims = x[0].size();
-  if (k == 0 || k >= dims) return;  // identity
+  if (y.empty() || k == 0 || k >= dims) return;  // identity
 
-  const double baseEntropy = labelEntropy(y);
-  const double total = static_cast<double>(x.size());
-  gains_.resize(dims, 0.0);
-  std::vector<double> column(x.size());
-  std::vector<std::size_t> below(classes), above(classes);
-  for (std::size_t d = 0; d < dims; ++d) {
-    // One contiguous gather per column; the mean is summed in training-row
-    // order, as before.
-    for (std::size_t i = 0; i < x.size(); ++i) column[i] = x[i][d];
-    double mean = 0.0;
-    for (const double v : column) mean += v;
-    mean /= total;
-
-    std::fill(below.begin(), below.end(), 0);
-    std::fill(above.begin(), above.end(), 0);
-    std::size_t belowCount = 0;
-    for (std::size_t i = 0; i < column.size(); ++i) {
-      const auto label = static_cast<std::size_t>(y[i]);
-      if (column[i] <= mean) {
-        ++below[label];
-        ++belowCount;
-      } else {
-        ++above[label];
+  const std::size_t rows = y.size();
+  std::vector<std::size_t> classTotal(classes, 0);
+  for (const int label : y) ++classTotal[static_cast<std::size_t>(label)];
+  // Runs one scan, checking it hands exactly one row per label.
+  const auto pass = [&](const std::function<void(std::size_t,
+                                                 std::span<const double>)>&
+                            visit) {
+    std::size_t seen = 0;
+    scan([&](std::span<const double> row) {
+      if (seen == rows || row.size() != dims) {
+        throw std::invalid_argument(
+            "FeatureSelector::fitStreamed: scan does not match the labels");
       }
+      visit(seen++, row);
+    });
+    if (seen != rows) {
+      throw std::invalid_argument(
+          "FeatureSelector::fitStreamed: scan does not match the labels");
     }
-    const std::size_t aboveCount = x.size() - belowCount;
+  };
+
+  // Each column's mean, summed in row order.
+  std::vector<double> mean(dims, 0.0);
+  pass([&](std::size_t, std::span<const double> row) {
+    for (std::size_t d = 0; d < dims; ++d) mean[d] += row[d];
+  });
+  const double total = static_cast<double>(rows);
+  for (double& m : mean) m /= total;
+
+  // Per-class counts at or below each mean, class-major so that one row's
+  // updates are contiguous.
+  std::vector<std::size_t> below(classes * dims, 0);
+  pass([&](std::size_t i, std::span<const double> row) {
+    std::size_t* counts =
+        below.data() + static_cast<std::size_t>(y[i]) * dims;
+    for (std::size_t d = 0; d < dims; ++d) {
+      if (row[d] <= mean[d]) ++counts[d];
+    }
+  });
+
+  const double baseEntropy = entropyOfCounts(classTotal, rows);
+  gains_.resize(dims, 0.0);
+  std::vector<std::size_t> belowOf(classes), aboveOf(classes);
+  for (std::size_t d = 0; d < dims; ++d) {
+    std::size_t belowCount = 0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      belowOf[c] = below[c * dims + d];
+      aboveOf[c] = classTotal[c] - belowOf[c];
+      belowCount += belowOf[c];
+    }
+    const std::size_t aboveCount = rows - belowCount;
     const double conditional =
         (static_cast<double>(belowCount) / total) *
-            entropyOfCounts(below, belowCount) +
+            entropyOfCounts(belowOf, belowCount) +
         (static_cast<double>(aboveCount) / total) *
-            entropyOfCounts(above, aboveCount);
+            entropyOfCounts(aboveOf, aboveCount);
     gains_[d] = baseEntropy - conditional;
   }
 
@@ -106,8 +140,8 @@ FeatureSelector FeatureSelector::fromIndices(
 }
 
 std::vector<double> FeatureSelector::apply(
-    const std::vector<double>& vec) const {
-  if (identity()) return vec;
+    std::span<const double> vec) const {
+  if (identity()) return {vec.begin(), vec.end()};
   std::vector<double> out;
   out.reserve(selected_.size());
   for (const std::size_t idx : selected_) out.push_back(vec[idx]);

@@ -196,9 +196,9 @@ FeatureExtractor FeatureTable::fitExtractor(
       bigrams_.fit(heldOut, config.bigramVocabulary));
 }
 
-std::vector<std::vector<double>> FeatureTable::project(
-    const FeatureExtractor& extractor,
-    const std::vector<std::size_t>& rows) const {
+void FeatureTable::forEachRow(const FeatureExtractor& extractor,
+                              const std::vector<std::size_t>& rows,
+                              const RowVisitor& visit) const {
   const ExtractorConfig& config = extractor.config();
   const std::size_t identifierWidth = extractor.identifierVocabulary().size();
   const std::size_t bigramWidth = extractor.bigramVocabulary().size();
@@ -222,15 +222,14 @@ std::vector<std::vector<double>> FeatureTable::project(
         "FeatureTable::project: extractor schema does not match the table");
   }
 
-  std::vector<std::vector<double>> out;
-  out.reserve(rows.size());
+  std::vector<double> vec(extractor.dimension());
   for (const std::size_t row : rows) {
     if (row >= rows_) {
       throw std::out_of_range("FeatureTable::project: row out of range");
     }
     // Schema order (FeatureExtractor::buildSchema): lexical fixed, unigram
     // terms, layout, syntactic fixed, bigram terms.
-    std::vector<double> vec(extractor.dimension(), 0.0);
+    std::fill(vec.begin(), vec.end(), 0.0);
     const double* fixed = fixed_.data() + row * fixedStart_[3];
     double* at = vec.data();
     const auto copyFamily = [&](FeatureFamily family) {
@@ -249,8 +248,18 @@ std::vector<std::vector<double>> FeatureTable::project(
       bigrams_.project(row, bigramColumns, at);
       at += bigramWidth;
     }
-    out.push_back(std::move(vec));
+    visit(vec);
   }
+}
+
+std::vector<std::vector<double>> FeatureTable::project(
+    const FeatureExtractor& extractor, const std::vector<std::size_t>& rows,
+    const FeatureSelector& selector) const {
+  std::vector<std::vector<double>> out;
+  out.reserve(rows.size());
+  forEachRow(extractor, rows, [&](std::span<const double> row) {
+    out.push_back(selector.apply(row));
+  });
   return out;
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "features/extractor.hpp"
+#include "features/selection.hpp"
 #include "features/vocabulary.hpp"
 
 namespace sca::features {
@@ -98,11 +99,20 @@ class FeatureTable {
       const ExtractorConfig& config,
       const std::vector<std::size_t>& trainRows) const;
 
-  /// The feature vectors of `rows` in `extractor`'s schema, each equal bit
-  /// for bit to extractor.transform() of that row's source.
+  /// Hands the feature vector of each of `rows`, in order, to `visit`:
+  /// the vector in `extractor`'s schema, equal bit for bit to
+  /// extractor.transform() of that row's source. One buffer is reused for
+  /// every row, so a scan holds one row, not the fold. Throws
+  /// std::out_of_range on a row outside the table.
+  void forEachRow(const FeatureExtractor& extractor,
+                  const std::vector<std::size_t>& rows,
+                  const RowVisitor& visit) const;
+
+  /// selector.apply() of the feature vector of each of `rows` (see
+  /// forEachRow): only the selected columns, all of them by default.
   [[nodiscard]] std::vector<std::vector<double>> project(
-      const FeatureExtractor& extractor,
-      const std::vector<std::size_t>& rows) const;
+      const FeatureExtractor& extractor, const std::vector<std::size_t>& rows,
+      const FeatureSelector& selector = FeatureSelector()) const;
 
  private:
   std::size_t rows_ = 0;

@@ -1,7 +1,10 @@
 #include "ml/random_forest.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <istream>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -14,46 +17,110 @@ namespace sca::ml {
 
 RandomForest::RandomForest(ForestConfig config) : config_(config) {}
 
+namespace {
+
+/// One forest of a batch while its trees grow.
+struct ForestJob {
+  std::size_t rows = 0;  // the dataset's size, read before its rows go
+  std::size_t bootstrapSize = 0;
+  std::vector<util::Rng> treeRngs;
+  std::once_flag columnsOnce;
+  std::optional<FeatureColumns> columns;
+  std::atomic<std::size_t> treesLeft{0};
+};
+
+}  // namespace
+
 void RandomForest::fit(const Dataset& data) {
+  RandomForest* const forest = this;
+  const Dataset* const rows = &data;
+  fitForests({&forest, 1}, {&rows, 1}, [](std::size_t) {});
+}
+
+void RandomForest::fitBatch(std::span<RandomForest* const> forests,
+                            std::span<Dataset> data) {
+  if (forests.size() != data.size()) {
+    throw std::invalid_argument("RandomForest::fitBatch: size mismatch");
+  }
+  std::vector<const Dataset*> views;
+  views.reserve(data.size());
+  for (const Dataset& d : data) views.push_back(&d);
+  fitForests(forests, views, [&](std::size_t f) {
+    std::vector<std::vector<double>>().swap(data[f].x);
+  });
+}
+
+void RandomForest::fitForests(
+    std::span<RandomForest* const> forests,
+    std::span<const Dataset* const> data,
+    const std::function<void(std::size_t)>& columnsBuilt) {
   obs::Span span("forest_fit", "ml");
-  data.validate();
-  if (data.size() == 0) throw std::invalid_argument("forest: empty dataset");
+  for (const Dataset* d : data) {
+    d->validate();
+    if (d->size() == 0) throw std::invalid_argument("forest: empty dataset");
+  }
   // Tree count is configuration, not scheduling, so the counter is stable.
   static obs::Counter treesFitted =
       obs::MetricsRegistry::global().counter("ml_trees_fitted");
-  treesFitted.add(config_.treeCount);
-  classCount_ = data.classCount();
-  trees_.assign(config_.treeCount, DecisionTree{});
 
-  util::Rng root(config_.seed);
-  // Pre-derive per-tree seeds so that fitting is deterministic regardless
-  // of thread scheduling.
-  std::vector<util::Rng> treeRngs;
-  treeRngs.reserve(config_.treeCount);
-  for (std::size_t t = 0; t < config_.treeCount; ++t) {
-    treeRngs.push_back(root.derive(static_cast<std::uint64_t>(t)));
+  std::vector<ForestJob> jobs(forests.size());
+  std::vector<std::size_t> firstPair;  // forest f's tree t is pair
+  firstPair.reserve(forests.size());   // firstPair[f] + t
+  std::size_t pairs = 0;
+  std::size_t threads = 0;
+  for (std::size_t f = 0; f < forests.size(); ++f) {
+    RandomForest& forest = *forests[f];
+    const ForestConfig& config = forest.config_;
+    ForestJob& job = jobs[f];
+    treesFitted.add(config.treeCount);
+    forest.classCount_ = data[f]->classCount();
+    forest.trees_.assign(config.treeCount, DecisionTree{});
+    job.rows = data[f]->size();
+    job.bootstrapSize = std::max<std::size_t>(
+        1, static_cast<std::size_t>(config.bootstrapFraction *
+                                    static_cast<double>(job.rows)));
+    // Pre-derive per-tree seeds so that fitting is deterministic regardless
+    // of thread scheduling.
+    util::Rng root(config.seed);
+    job.treeRngs.reserve(config.treeCount);
+    for (std::size_t t = 0; t < config.treeCount; ++t) {
+      job.treeRngs.push_back(root.derive(static_cast<std::uint64_t>(t)));
+    }
+    job.treesLeft.store(config.treeCount);
+    firstPair.push_back(pairs);
+    pairs += config.treeCount;
+    if (config.threads > 0) {
+      threads =
+          threads == 0 ? config.threads : std::min(threads, config.threads);
+    }
   }
 
-  const std::size_t bootstrapSize = std::max<std::size_t>(
-      1, static_cast<std::size_t>(config_.bootstrapFraction *
-                                  static_cast<double>(data.size())));
-
-  // One feature-major copy of the rows, shared read-only by every tree.
-  const FeatureColumns columns(data);
-
-  // Trees go through the shared pool (nested-guard aware: a forest fitted
+  // Pairs go through the shared pool forest by forest, so forests finish
+  // (and free their columns) in order. Nested-guard aware: a batch fitted
   // inside a parallel CV fold runs its trees serially on that fold's
-  // worker). Seeds are pre-derived per tree, so scheduling never matters.
+  // worker. Seeds are pre-derived per tree, so scheduling never matters.
   runtime::ParallelOptions options;
-  options.maxWorkers = config_.threads;
+  options.maxWorkers = threads;
   runtime::parallelFor(
-      0, trees_.size(),
-      [&](std::size_t t) {
-        util::Rng rng = treeRngs[t];
-        std::vector<std::size_t> bootstrap(bootstrapSize);
-        for (std::size_t i = 0; i < bootstrapSize; ++i) {
-          bootstrap[i] = static_cast<std::size_t>(rng.uniformInt(
-              0, static_cast<std::int64_t>(data.size()) - 1));
+      0, pairs,
+      [&](std::size_t pair) {
+        const std::size_t f = static_cast<std::size_t>(
+            std::upper_bound(firstPair.begin(), firstPair.end(), pair) -
+            firstPair.begin() - 1);
+        const std::size_t t = pair - firstPair[f];
+        RandomForest& forest = *forests[f];
+        ForestJob& job = jobs[f];
+        // One feature-major copy of the rows, shared read-only by every
+        // tree of the forest.
+        std::call_once(job.columnsOnce, [&] {
+          job.columns.emplace(*data[f]);
+          columnsBuilt(f);
+        });
+        util::Rng rng = job.treeRngs[t];
+        std::vector<std::size_t> bootstrap(job.bootstrapSize);
+        for (std::size_t i = 0; i < job.bootstrapSize; ++i) {
+          bootstrap[i] = static_cast<std::size_t>(
+              rng.uniformInt(0, static_cast<std::int64_t>(job.rows) - 1));
         }
         // Ascending bootstrap puts every repeat of a row next to the
         // first, which the tree counts as one weighted sample, and makes
@@ -64,8 +131,12 @@ void RandomForest::fit(const Dataset& data) {
         // order are all invariant under sample permutation, and the
         // partition step preserves whatever order it is given.
         std::sort(bootstrap.begin(), bootstrap.end());
-        trees_[t].fit(columns, data.y, bootstrap, classCount_, config_.tree,
-                      rng.derive("tree"));
+        forest.trees_[t].fit(*job.columns, data[f]->y, bootstrap,
+                             forest.classCount_, forest.config_.tree,
+                             rng.derive("tree"));
+        if (job.treesLeft.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          job.columns.reset();
+        }
       },
       options);
 }

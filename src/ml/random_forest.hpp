@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <vector>
@@ -26,7 +27,19 @@ class RandomForest {
  public:
   explicit RandomForest(ForestConfig config = {});
 
+  /// fitBatch() of this forest alone; `data` is left as it is.
   void fit(const Dataset& data);
+
+  /// Fits forests[i] on data[i], for every i, in one parallel loop over
+  /// every (forest, tree) pair, so small forests share the pool instead of
+  /// each waiting for its own stragglers. Every tree keeps the seed its
+  /// forest derives for it, so each forest is the one fit() grows, bit for
+  /// bit. A forest's feature columns are built by the first of its trees
+  /// to start; data[i].x is released as soon as they exist, and they are
+  /// released when the forest's last tree is grown. The loop honours the
+  /// tightest `threads` cap among the forests.
+  static void fitBatch(std::span<RandomForest* const> forests,
+                       std::span<Dataset> data);
 
   [[nodiscard]] int predict(std::span<const double> features) const;
   [[nodiscard]] int predict(const std::vector<double>& features) const {
@@ -70,6 +83,12 @@ class RandomForest {
       std::size_t dimension) const;
 
  private:
+  /// The shared fit: `columnsBuilt(i)` runs once forest i's feature
+  /// columns exist, while no tree of it reads data[i]'s rows.
+  static void fitForests(std::span<RandomForest* const> forests,
+                         std::span<const Dataset* const> data,
+                         const std::function<void(std::size_t)>& columnsBuilt);
+
   ForestConfig config_;
   std::vector<DecisionTree> trees_;
   int classCount_ = 0;

@@ -58,7 +58,6 @@ struct MetricsRegistry::Impl {
   std::map<std::string, std::size_t, std::less<>> byName;
   std::vector<Shard*> shards;                            // live threads
   std::array<std::uint64_t, kMaxCells> retired{};        // exited threads
-  std::array<std::uint64_t, kMaxCells> resetBase{};      // markReset state
   std::uint32_t nextCell = 0;
 
   /// Raw merged bit pattern of one cell; `kind` selects the fold
@@ -80,13 +79,6 @@ struct MetricsRegistry::Impl {
       merged += shard->cells[cell].load(std::memory_order_relaxed);
     }
     return merged;
-  }
-
-  void baselineInstrument(const Instrument& instrument) {
-    for (std::uint32_t c = instrument.firstCell;
-         c < instrument.firstCell + instrument.cellCount; ++c) {
-      resetBase[c] = mergeCell(c, instrument.type, instrument.gaugeKind);
-    }
   }
 };
 
@@ -269,17 +261,14 @@ void Histogram::observe(double value) const {
   registry_->bumpCounterCell(firstCell_ + index, 1);
 }
 
-MetricsSnapshot MetricsRegistry::snapshot(Scope scope) const {
+MetricsSnapshot MetricsRegistry::snapshot(Scope /*scope*/) const {
   MetricsSnapshot out;
   std::lock_guard<std::mutex> lock(impl_->mutex);
   for (const Instrument& instrument : impl_->instruments) {
     switch (instrument.type) {
       case InstrumentType::kCounter: {
-        std::uint64_t value = impl_->mergeCell(
+        const std::uint64_t value = impl_->mergeCell(
             instrument.firstCell, instrument.type, instrument.gaugeKind);
-        if (scope == Scope::kSinceReset) {
-          value -= impl_->resetBase[instrument.firstCell];
-        }
         if (value == 0) break;
         (instrument.stability == Stability::kStable
              ? out.counters
@@ -287,14 +276,8 @@ MetricsSnapshot MetricsRegistry::snapshot(Scope scope) const {
         break;
       }
       case InstrumentType::kGauge: {
-        double value = unpackDouble(impl_->mergeCell(
+        const double value = unpackDouble(impl_->mergeCell(
             instrument.firstCell, instrument.type, instrument.gaugeKind));
-        // Sum gauges re-base by subtraction; a max cannot, so max gauges
-        // always report the lifetime high-water mark.
-        if (scope == Scope::kSinceReset &&
-            instrument.gaugeKind == GaugeKind::kSum) {
-          value -= unpackDouble(impl_->resetBase[instrument.firstCell]);
-        }
         if (value == 0.0) break;
         out.gauges[instrument.name] = value;
         break;
@@ -305,10 +288,8 @@ MetricsSnapshot MetricsRegistry::snapshot(Scope scope) const {
         histogram.counts.reserve(instrument.cellCount);
         for (std::uint32_t c = instrument.firstCell;
              c < instrument.firstCell + instrument.cellCount; ++c) {
-          std::uint64_t count = impl_->mergeCell(c, instrument.type,
-                                                 instrument.gaugeKind);
-          if (scope == Scope::kSinceReset) count -= impl_->resetBase[c];
-          histogram.counts.push_back(count);
+          histogram.counts.push_back(
+              impl_->mergeCell(c, instrument.type, instrument.gaugeKind));
         }
         if (histogram.total() == 0) break;
         (instrument.stability == Stability::kStable
@@ -321,32 +302,14 @@ MetricsSnapshot MetricsRegistry::snapshot(Scope scope) const {
   return out;
 }
 
-std::uint64_t MetricsRegistry::counterValue(std::string_view name,
-                                            Scope scope) const {
+std::uint64_t MetricsRegistry::counterValue(std::string_view name) const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   const auto it = impl_->byName.find(name);
   if (it == impl_->byName.end()) return 0;
   const Instrument& instrument = impl_->instruments[it->second];
   if (instrument.type != InstrumentType::kCounter) return 0;
-  std::uint64_t value = impl_->mergeCell(instrument.firstCell,
-                                         instrument.type,
-                                         instrument.gaugeKind);
-  if (scope == Scope::kSinceReset) {
-    value -= impl_->resetBase[instrument.firstCell];
-  }
-  return value;
-}
-
-void MetricsRegistry::markReset() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (const Instrument& i : impl_->instruments) impl_->baselineInstrument(i);
-}
-
-void MetricsRegistry::markResetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  const auto it = impl_->byName.find(name);
-  if (it == impl_->byName.end()) return;
-  impl_->baselineInstrument(impl_->instruments[it->second]);
+  return impl_->mergeCell(instrument.firstCell, instrument.type,
+                          instrument.gaugeKind);
 }
 
 namespace {

@@ -25,11 +25,9 @@
 // always runtime: merging doubles across shards is order-sensitive in
 // floating point, so they can never be byte-stable.
 //
-// reset is non-destructive: markReset()/markResetCounter() snapshot a
-// per-cell baseline and Scope::kSinceReset subtracts it, so resetting
-// never races with writers and Scope::kLifetime (what the run manifest and
-// history record report) survives it. Max gauges always report the
-// lifetime high-water mark (a max cannot be re-based by subtraction).
+// There is no reset: every value is a lifetime total (a max gauge, the
+// lifetime high-water mark), and a caller that wants the count of one
+// stretch of work takes the difference of two reads.
 //
 // The global registry is intentionally immortal (never destroyed), so
 // worker threads detaching their shards during static teardown are safe.
@@ -45,7 +43,8 @@ namespace sca::obs {
 
 enum class Stability { kStable, kRuntime };
 enum class GaugeKind { kSum, kMax };
-enum class Scope { kSinceReset, kLifetime };
+/// The one scope a snapshot has, named by callers that say so.
+enum class Scope { kLifetime };
 
 /// Gauges recorded under this name prefix are phase wall-times; the
 /// manifest strips the prefix into its "phases" section and
@@ -107,9 +106,7 @@ struct HistogramSnapshot {
   [[nodiscard]] std::uint64_t total() const;
 };
 
-/// A merged view of the registry. Zero-valued instruments are omitted, so
-/// a snapshot taken right after a reset is empty regardless of what was
-/// ever registered.
+/// A merged view of the registry. Zero-valued instruments are omitted.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;            // kStable
   std::map<std::string, HistogramSnapshot> histograms;      // kStable
@@ -138,15 +135,10 @@ class MetricsRegistry {
   /// Deterministic merge of all shards. Byte-stable for the kStable
   /// sections when the process is quiescent (no in-flight recorders).
   [[nodiscard]] MetricsSnapshot snapshot(
-      Scope scope = Scope::kSinceReset) const;
+      Scope scope = Scope::kLifetime) const;
 
   /// Merged value of one counter (0 if never registered).
-  [[nodiscard]] std::uint64_t counterValue(
-      std::string_view name, Scope scope = Scope::kSinceReset) const;
-
-  /// Baseline the since-reset scope (non-destructive; see file comment).
-  void markReset();
-  void markResetCounter(std::string_view name);
+  [[nodiscard]] std::uint64_t counterValue(std::string_view name) const;
 
  private:
   struct Shard;

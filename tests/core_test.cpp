@@ -7,8 +7,13 @@
 #include "core/attribution_model.hpp"
 #include "core/binary.hpp"
 #include "core/experiments.hpp"
+#include "core/folds.hpp"
 #include "core/grouping.hpp"
 #include "corpus/dataset.hpp"
+#include "obs/log.hpp"
+#include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
+#include "util/io.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -293,6 +298,66 @@ TEST(Binary, CombinedCoversYearsAndAllColumn) {
     EXPECT_GE(row[3] + 1e-9, lo);
     EXPECT_LE(row[3] - 1e-9, hi);
   }
+}
+
+TEST(Folds, PredictFoldsMatchesPredictFoldFoldByFold) {
+  // A two-class table: each author's samples split by author parity, one
+  // fold per challenge, and a selection narrower than the schema.
+  const corpus::YearDataset ds = corpus::buildYearDataset(2018, 6);
+  std::vector<const std::string*> sources;
+  std::vector<int> labels, challenges;
+  for (const corpus::CodeSample& sample : ds.samples) {
+    sources.push_back(&sample.source);
+    labels.push_back(sample.authorId % 2);
+    challenges.push_back(sample.challengeIndex);
+  }
+  const features::FeatureTable table = extractTable(sources);
+  std::vector<FoldRows> folds;
+  for (std::size_t held = 0; held < ds.challenges.size(); ++held) {
+    folds.push_back(holdOut(challenges, static_cast<int>(held)));
+  }
+  ModelConfig config;
+  config.selectTopK = 25;
+  config.forest.treeCount = 15;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(threads);
+    runtime::setGlobalThreadCount(threads);
+    const std::vector<std::vector<int>> together =
+        predictFolds(table, labels, folds, config);
+    ASSERT_EQ(together.size(), folds.size());
+    for (std::size_t f = 0; f < folds.size(); ++f) {
+      EXPECT_EQ(together[f], predictFold(table, labels, folds[f], config))
+          << "fold " << f;
+      EXPECT_EQ(together[f].size(), folds[f].test.size());
+    }
+  }
+  runtime::setGlobalThreadCount(0);
+}
+
+TEST(Binary, FoldEventsComeFromTheCallerInFoldOrder) {
+  obs::EventLog& log = obs::EventLog::global();
+  const std::string path = ::testing::TempDir() + "core_test_binary.jsonl";
+  ASSERT_TRUE(util::atomicWriteFile(path, "").isOk());
+  runtime::setGlobalThreadCount(4);
+  log.configure(path, obs::LogLevel::kInfo);
+  YearExperiment experiment(2017, tinyConfig());
+  const BinaryIndividualResult result = binaryIndividual(experiment);
+  log.configure("", obs::LogLevel::kInfo);
+  runtime::setGlobalThreadCount(0);
+
+  const util::Result<std::string> content = util::readFile(path);
+  ASSERT_TRUE(content.ok());
+  const std::string tid = "\"tid\":" + std::to_string(obs::threadId()) + ",";
+  std::vector<std::size_t> folds;
+  for (const std::string& line : util::split(content.value(), '\n')) {
+    if (line.find("\"event\":\"binary_fold\"") == std::string::npos) continue;
+    EXPECT_NE(line.find(tid), std::string::npos) << line;
+    const std::size_t at = line.find("\"fold\":");
+    ASSERT_NE(at, std::string::npos) << line;
+    folds.push_back(std::stoul(line.substr(at + 7)));
+  }
+  EXPECT_EQ(folds, (std::vector<std::size_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(result.foldAccuracies.size(), 8u);
 }
 
 TEST(Binary, CombinedRejectsMoreThanThreeYears) {

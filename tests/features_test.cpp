@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "ast/parser.hpp"
 #include "ast/visit.hpp"
@@ -381,6 +383,114 @@ TEST(FeatureTable, RejectsMalformedRows) {
   EXPECT_THROW((void)table.fitExtractor(config, {2}), std::invalid_argument);
   const FeatureExtractor fitted = table.fitExtractor(config, {0});
   EXPECT_THROW((void)table.project(fitted, {2}), std::out_of_range);
+}
+
+/// fitStreamed() over a fold's rows streamed from the table must select
+/// the same columns, with the same gains bit for bit, as fit() over those
+/// rows projected into a matrix.
+void expectStreamedMatchesFit(const FeatureTable& table,
+                              const FeatureExtractor& extractor,
+                              const std::vector<std::size_t>& rows,
+                              const std::vector<int>& labels, std::size_t k) {
+  SCOPED_TRACE(k);
+  FeatureSelector materialised;
+  materialised.fit(table.project(extractor, rows), labels, k);
+  FeatureSelector streamed;
+  std::size_t scans = 0;
+  streamed.fitStreamed(
+      [&](const RowVisitor& visit) {
+        ++scans;
+        table.forEachRow(extractor, rows, visit);
+      },
+      extractor.dimension(), labels, k);
+  EXPECT_EQ(streamed.selected(), materialised.selected());
+  ASSERT_EQ(streamed.gains().size(), materialised.gains().size());
+  if (!streamed.gains().empty()) {  // an identity fit scores nothing
+    EXPECT_EQ(std::memcmp(streamed.gains().data(),
+                          materialised.gains().data(),
+                          streamed.gains().size() * sizeof(double)),
+              0);
+  }
+  EXPECT_EQ(scans, streamed.identity() ? 0u : 2u);
+  // Projecting only the selected columns keeps those columns' values.
+  const std::vector<std::vector<double>> full = table.project(extractor, rows);
+  const std::vector<std::vector<double>> kept =
+      table.project(extractor, rows, streamed);
+  ASSERT_EQ(kept.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(kept[i], streamed.apply(full[i]));
+  }
+}
+
+TEST(FeatureTable, StreamedSelectionMatchesFitOnProjectedRows) {
+  const std::vector<std::string> sources = tableCorpus();
+  const FeatureTable table(sources);
+  std::vector<std::size_t> rows;
+  std::vector<int> threeClasses, oneClass;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    if (i % 4 == 1) continue;  // held out
+    rows.push_back(i);
+    threeClasses.push_back(static_cast<int>(i % 3));
+    oneClass.push_back(0);
+  }
+  ExtractorConfig config;
+  config.identifierVocabulary = 30;
+  config.bigramVocabulary = 20;
+  const FeatureExtractor extractor = table.fitExtractor(config, rows);
+  const std::size_t dims = extractor.dimension();
+
+  for (const std::size_t k : {std::size_t{1}, std::size_t{7}, std::size_t{40},
+                              dims - 1}) {
+    expectStreamedMatchesFit(table, extractor, rows, threeClasses, k);
+  }
+  // The corpus has constant and all-zero columns, so gains tie and the
+  // column index breaks the tie.
+  FeatureSelector scored;
+  scored.fit(table.project(extractor, rows), threeClasses, dims - 1);
+  std::vector<double> gains = scored.gains();
+  std::sort(gains.begin(), gains.end());
+  EXPECT_NE(std::adjacent_find(gains.begin(), gains.end()), gains.end());
+
+  // One class: every gain is zero, so selection keeps the first k columns.
+  expectStreamedMatchesFit(table, extractor, rows, oneClass, 5);
+  FeatureSelector single;
+  single.fitStreamed(
+      [&](const RowVisitor& visit) {
+        table.forEachRow(extractor, rows, visit);
+      },
+      dims, oneClass, 5);
+  EXPECT_EQ(single.selected(), (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+  // Identity at k = 0 and k >= dims, with no scan at all.
+  for (const std::size_t k : {std::size_t{0}, dims, dims + 3}) {
+    expectStreamedMatchesFit(table, extractor, rows, threeClasses, k);
+    FeatureSelector identity;
+    identity.fitStreamed(
+        [](const RowVisitor&) { FAIL() << "identity selection scanned"; },
+        dims, threeClasses, k);
+    EXPECT_TRUE(identity.identity());
+  }
+}
+
+TEST(Selection, StreamedFitRejectsAScanThatDoesNotMatchTheLabels) {
+  const std::vector<double> row = {1.0, 2.0, 3.0};
+  const auto scanRows = [&](std::size_t count, std::size_t width) {
+    return [&row, count, width](const RowVisitor& visit) {
+      for (std::size_t i = 0; i < count; ++i) {
+        visit(std::span<const double>(row.data(), width));
+      }
+    };
+  };
+  FeatureSelector sel;
+  EXPECT_THROW(sel.fitStreamed(scanRows(2, 3), 3, {0, 1, 0}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(sel.fitStreamed(scanRows(4, 3), 3, {0, 1, 0}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(sel.fitStreamed(scanRows(3, 2), 3, {0, 1, 0}, 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sel.fitStreamed(scanRows(3, 3), 3, {0, 1, 0}, 1));
+  EXPECT_THROW(sel.fitStreamed(scanRows(3, 3), 3, {0, -1, 0}, 1),
+               std::invalid_argument);
 }
 
 // -------------------------------------------------------- analysis cache --

@@ -172,9 +172,9 @@ TEST(HistoryStoreTest, RunRecordCarriesPhasesCountersAndRusage) {
   EXPECT_EQ(record.phases.count("history_test_phase"), 1u);
   // Lifetime values: whatever the process has counted so far.
   EXPECT_EQ(record.counters.at("history_test_stable"),
-            registry.counterValue("history_test_stable", Scope::kLifetime));
+            registry.counterValue("history_test_stable"));
   EXPECT_EQ(record.counters.at("history_test_runtime"),
-            registry.counterValue("history_test_runtime", Scope::kLifetime));
+            registry.counterValue("history_test_runtime"));
   EXPECT_GE(record.counters.at("history_test_runtime"), 5u);
   EXPECT_GT(record.maxRssKb, 0u);
 }

@@ -10,6 +10,8 @@
 #include "ml/matrix.hpp"
 #include "ml/metrics.hpp"
 #include "ml/random_forest.hpp"
+#include "runtime/parallel.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace sca::ml {
@@ -372,6 +374,69 @@ TEST(GoldenForest, SparseConstantColumnsAndNaN) {
   EXPECT_EQ(forestHash(data, config), 0x3be4db3e99782cf8ULL);
   config.tree.thresholdsPerFeature = 0;
   EXPECT_EQ(forestHash(data, config), 0x92667a4a8756c71eULL);
+}
+
+std::string forestText(const RandomForest& forest) {
+  std::ostringstream text;
+  forest.save(text);
+  return text.str();
+}
+
+TEST(RandomForest, BatchFitMatchesSeparateFits) {
+  // Different sizes, class counts, widths, tree counts, seeds and split
+  // modes, so the (forest, tree) pairs split unevenly over the workers.
+  const std::vector<Dataset> inputs = {manyClassData(2, 150, 12, 202),
+                                       blobs(40, 7),
+                                       manyClassData(30, 4, 16, 5)};
+  std::vector<ForestConfig> configs(3);
+  configs[0].treeCount = 7;
+  configs[0].seed = 1;
+  configs[1].treeCount = 12;
+  configs[1].seed = 2;
+  configs[2].treeCount = 5;
+  configs[2].seed = 3;
+  configs[2].tree.thresholdsPerFeature = 0;
+  std::vector<std::string> separate;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    RandomForest forest(configs[i]);
+    forest.fit(inputs[i]);
+    separate.push_back(forestText(forest));
+  }
+
+  const auto batch = [&] {
+    std::vector<RandomForest> forests(configs.begin(), configs.end());
+    std::vector<RandomForest*> pointers;
+    for (RandomForest& forest : forests) pointers.push_back(&forest);
+    std::vector<Dataset> data = inputs;
+    RandomForest::fitBatch(pointers, data);
+    std::vector<std::string> texts;
+    for (std::size_t i = 0; i < forests.size(); ++i) {
+      EXPECT_TRUE(data[i].x.empty()) << "rows of forest " << i << " kept";
+      EXPECT_EQ(data[i].y, inputs[i].y);
+      texts.push_back(forestText(forests[i]));
+    }
+    return texts;
+  };
+  EXPECT_EQ(batch(), separate);
+
+  // Inside a parallel region the batch runs serially on its worker.
+  runtime::setGlobalThreadCount(3);
+  std::vector<std::string> nested;
+  runtime::parallelFor(0, 2, [&](std::size_t i) {
+    if (i != 0) return;
+    EXPECT_TRUE(runtime::inParallelRegion());
+    nested = batch();
+  });
+  runtime::setGlobalThreadCount(0);
+  EXPECT_EQ(nested, separate);
+}
+
+TEST(RandomForest, BatchFitRejectsMismatchedSpans) {
+  RandomForest forest;
+  RandomForest* const pointer = &forest;
+  std::vector<Dataset> data(2, blobs(3, 1));
+  EXPECT_THROW(RandomForest::fitBatch({&pointer, 1}, data),
+               std::invalid_argument);
 }
 
 TEST(DecisionTree, BootstrapOrderDoesNotChangeTheTree) {

@@ -55,6 +55,29 @@ std::size_t flightLogEvents(std::string_view name) {
   return count;
 }
 
+/// What was recorded between two snapshots of the stable section: every
+/// value is a lifetime total, so a stretch of work is a difference.
+MetricsSnapshot stableDelta(const MetricsSnapshot& before,
+                            const MetricsSnapshot& after) {
+  MetricsSnapshot delta;
+  for (const auto& [name, value] : after.counters) {
+    const auto it = before.counters.find(name);
+    const std::uint64_t base = it == before.counters.end() ? 0 : it->second;
+    if (value != base) delta.counters[name] = value - base;
+  }
+  for (const auto& [name, histogram] : after.histograms) {
+    HistogramSnapshot diff = histogram;
+    const auto it = before.histograms.find(name);
+    if (it != before.histograms.end()) {
+      for (std::size_t b = 0; b < diff.counts.size(); ++b) {
+        diff.counts[b] -= it->second.counts[b];
+      }
+    }
+    if (diff.total() != 0) delta.histograms[name] = std::move(diff);
+  }
+  return delta;
+}
+
 // The registry's headline contract: the stable section of a snapshot is
 // byte-identical for every thread count, as long as the recorded *events*
 // are. This is exactly what the CI observability smoke compares between
@@ -64,15 +87,16 @@ TEST_F(ObsTest, StableSnapshotIsByteIdenticalAcrossThreadCounts) {
   std::vector<std::string> renders;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     runtime::setGlobalThreadCount(threads);
-    registry.markReset();
     const Counter items = registry.counter("obs_test_items");
     const Histogram sizes =
         registry.histogram("obs_test_sizes", {1.0, 4.0, 16.0});
+    const MetricsSnapshot before = registry.snapshot();
     runtime::parallelFor(0, 512, [&](std::size_t i) {
       items.add();
       sizes.observe(static_cast<double>(i % 20));
     });
-    renders.push_back(stableMetricsJson(registry.snapshot()));
+    renders.push_back(
+        stableMetricsJson(stableDelta(before, registry.snapshot())));
   }
   EXPECT_EQ(renders[0], renders[1]);
   // And the section is not trivially empty.
@@ -81,12 +105,12 @@ TEST_F(ObsTest, StableSnapshotIsByteIdenticalAcrossThreadCounts) {
 
 TEST_F(ObsTest, HistogramBucketEdgesAreInclusiveUpperBounds) {
   MetricsRegistry& registry = MetricsRegistry::global();
-  registry.markReset();
   const Histogram h = registry.histogram("obs_test_edges", {1.0, 2.0, 4.0});
+  const MetricsSnapshot before = registry.snapshot();
   for (const double v : {0.5, 1.0, 1.5, 2.0, 4.0, 4.1}) h.observe(v);
-  const MetricsSnapshot snapshot = registry.snapshot();
-  ASSERT_EQ(snapshot.histograms.count("obs_test_edges"), 1u);
-  const HistogramSnapshot& edges = snapshot.histograms.at("obs_test_edges");
+  const MetricsSnapshot delta = stableDelta(before, registry.snapshot());
+  ASSERT_EQ(delta.histograms.count("obs_test_edges"), 1u);
+  const HistogramSnapshot& edges = delta.histograms.at("obs_test_edges");
   ASSERT_EQ(edges.counts.size(), 4u);  // three bounds + overflow
   EXPECT_EQ(edges.counts[0], 2u);      // 0.5, 1.0  (bound inclusive)
   EXPECT_EQ(edges.counts[1], 2u);      // 1.5, 2.0
@@ -95,34 +119,32 @@ TEST_F(ObsTest, HistogramBucketEdgesAreInclusiveUpperBounds) {
   EXPECT_EQ(edges.total(), 6u);
 }
 
-TEST_F(ObsTest, CounterResetIsNonDestructive) {
+TEST_F(ObsTest, CounterValueIsALifetimeTotal) {
   MetricsRegistry& registry = MetricsRegistry::global();
-  const Counter c = registry.counter("obs_test_rebase");
-  registry.markResetCounter("obs_test_rebase");
-  const std::uint64_t lifetimeBefore =
-      registry.counterValue("obs_test_rebase", Scope::kLifetime);
+  const Counter c = registry.counter("obs_test_lifetime");
+  const std::uint64_t before = registry.counterValue("obs_test_lifetime");
   c.add(5);
-  registry.markResetCounter("obs_test_rebase");
   c.add(2);
-  EXPECT_EQ(registry.counterValue("obs_test_rebase"), 2u);
-  EXPECT_EQ(registry.counterValue("obs_test_rebase", Scope::kLifetime),
-            lifetimeBefore + 7u);
+  EXPECT_EQ(registry.counterValue("obs_test_lifetime") - before, 7u);
   // Unregistered names read as zero rather than erroring.
   EXPECT_EQ(registry.counterValue("obs_test_never_registered"), 0u);
 }
 
 TEST_F(ObsTest, GaugeSumAccumulatesAndMaxKeepsHighWater) {
   MetricsRegistry& registry = MetricsRegistry::global();
-  registry.markReset();
   const Gauge sum = registry.gauge("obs_test_sum", GaugeKind::kSum);
   const Gauge max = registry.gauge("obs_test_max", GaugeKind::kMax);
+  const MetricsSnapshot before = registry.snapshot();
+  const double sumBefore = before.gauges.count("obs_test_sum") != 0
+                               ? before.gauges.at("obs_test_sum")
+                               : 0.0;
   sum.add(1.5);
   sum.add(2.5);
   max.recordMax(3.0);
   max.recordMax(7.0);
   max.recordMax(5.0);
   const MetricsSnapshot snapshot = registry.snapshot();
-  EXPECT_DOUBLE_EQ(snapshot.gauges.at("obs_test_sum"), 4.0);
+  EXPECT_DOUBLE_EQ(snapshot.gauges.at("obs_test_sum") - sumBefore, 4.0);
   EXPECT_DOUBLE_EQ(snapshot.gauges.at("obs_test_max"), 7.0);
   // Gauges are always runtime: never in the stable section.
   EXPECT_EQ(stableMetricsJson(snapshot).find("obs_test_sum"),
@@ -218,8 +240,8 @@ TEST_F(ObsTest, RunManifestMarksPartialAndCompleteRuns) {
   MetricsRegistry::global().counter("obs_test_manifest").add(1);
   const std::string counted =
       "\"obs_test_manifest\":" +
-      std::to_string(MetricsRegistry::global().counterValue(
-          "obs_test_manifest", Scope::kLifetime));
+      std::to_string(
+          MetricsRegistry::global().counterValue("obs_test_manifest"));
 
   RunManifestOptions options;
   options.path = ::testing::TempDir() + "obs_test_manifest.json";

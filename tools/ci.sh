@@ -42,6 +42,9 @@
 # committed tools/perf/table_digests.txt, so no change can move a reported
 # number without updating the digests in the same commit. Each bench's
 # stdout must also be byte-identical between the two thread counts.
+# table10_binary also runs at SCA_THREADS=3, where its loop over every
+# (fold, tree) pair splits unevenly over the workers; its CSV and stdout
+# must equal the 1-thread run's.
 #
 # A checkpoint-resume smoke runs the one-shot pipeline with
 # SCA_CHECKPOINT_DIR set, requires `sca_cli checkpoints` to report every
@@ -300,6 +303,24 @@ table_digest_smoke() {
   [ "$count" -eq 12 ] ||
     { echo "paper-table stdout: expected 12 bench outputs, found $count" >&2
       exit 1; }
+  local t3=build-release/table10-t3 csv
+  rm -rf "$t3" && mkdir -p "$t3"
+  (cd "$t3" &&
+   env -i PATH="$PATH" HOME="${HOME:-/tmp}" SCA_THREADS=3 SCA_HISTORY=off \
+     ../bench/table10_binary > table10_binary.out 2> table10_binary.err) ||
+    { echo "table10_binary failed at SCA_THREADS=3; see $t3" >&2; exit 1; }
+  cmp "$t3/table10_binary.out" build-release/table-digests-t1/table10_binary.out ||
+    { echo "table10_binary stdout differs between SCA_THREADS=1 and 3" >&2
+      exit 1; }
+  count=0
+  for csv in "$t3"/bench_out/*.csv; do
+    cmp "$csv" "build-release/table-digests-t1/bench_out/$(basename "$csv")" ||
+      { echo "table10_binary CSV differs between SCA_THREADS=1 and 3:" \
+             "$(basename "$csv")" >&2; exit 1; }
+    count=$((count + 1))
+  done
+  [ "$count" -ge 1 ] ||
+    { echo "table10_binary wrote no CSV at SCA_THREADS=3" >&2; exit 1; }
   echo "=== paper-table digests ok ==="
 }
 table_digest_smoke
