@@ -6,10 +6,13 @@
 #include "ast/visit.hpp"
 #include "corpus/dataset.hpp"
 #include "llm/archetypes.hpp"
+#include "llm/fault_injection.hpp"
 #include "llm/pipelines.hpp"
+#include "llm/resilient_client.hpp"
 #include "llm/synthetic_llm.hpp"
 #include "style/archetypes.hpp"
 #include "style/infer.hpp"
+#include "util/strings.hpp"
 
 namespace sca::llm {
 namespace {
@@ -285,6 +288,85 @@ TEST(Pipelines, TransformedDatasetDeterministic) {
   for (std::size_t i = 0; i < a.samples.size(); ++i) {
     EXPECT_EQ(a.samples[i].source, b.samples[i].source);
   }
+}
+
+// Golden pins on the model's output bytes, recorded before the model kept
+// any state derived from its inputs. Every transformed sample of Tables
+// II-X comes out of these paths, so a change to how `transform` parses,
+// fingerprints or profiles its input that moves one byte shows up here.
+
+/// Every sample of a 16-challenge, 40-step dataset: long enough for NCT to
+/// reach the familiar and the exploring branches and for CT to reach the
+/// conversation branch on both origins.
+std::string datasetHash(int year) {
+  const corpus::YearDataset data = corpus::buildYearDataset(year, 16);
+  BuildOptions options;
+  options.steps = 40;
+  const TransformedDataset ds = buildTransformedDataset(data, options);
+  std::uint64_t h = util::hash64("dataset");
+  for (const TransformedSample& sample : ds.samples) {
+    h = util::combine64(h, util::hash64(sample.source));
+  }
+  return util::toHex64(h);
+}
+
+TEST(GoldenTransform, Dataset2017) {
+  EXPECT_EQ(datasetHash(2017), "7a2378bd535d70ca");
+}
+
+TEST(GoldenTransform, Dataset2018) {
+  EXPECT_EQ(datasetHash(2018), "92a561ff1975461f");
+}
+
+/// One model fed A, A, its own last output, B, A, four times over: repeated
+/// input, conversation input and a switch between two originals, on the
+/// familiar (A is the model's own code) and exploring (B is exotic human
+/// code) branches. With `faults`, through the fault-injecting + resilient
+/// stack, whose retries recover the model's own completions.
+std::string interleavedHash(bool faults) {
+  const auto& ch = corpus::challengeById("race");
+  SyntheticLlm gen(optionsFor(2018, 90));
+  const std::string a = gen.generate(ch);
+  corpus::Author exotic;
+  exotic.profile.naming = style::NamingConvention::HungarianLite;
+  exotic.profile.useTabs = true;
+  exotic.profile.allmanBraces = true;
+  const std::string b = corpus::renderSolution(exotic, ch, 2018, 0);
+
+  SyntheticLlm llm(optionsFor(2018, 91));
+  FaultInjectingClient faulty(llm, FaultOptions::scaled(0.3, 92));
+  RetryPolicy retry;
+  retry.seed = 93;
+  ResilientClient resilient(faulty, retry);
+  LlmClient& client = faults ? static_cast<LlmClient&>(resilient) : llm;
+
+  std::uint64_t h = util::hash64("interleaved");
+  std::string last;
+  for (int round = 0; round < 4; ++round) {
+    for (const std::string* input :
+         std::initializer_list<const std::string*>{&a, &a, &last, &b, &a}) {
+      const util::Result<std::string> out = client.tryTransform(*input);
+      EXPECT_TRUE(out.ok()) << out.status().toString();
+      if (!out.ok()) continue;
+      last = out.value();
+      h = util::combine64(h, util::hash64(last));
+      h = util::combine64(h, llm.lastArchetype());
+      h = util::combine64(h, llm.lastWasStay() ? 1 : 0);
+    }
+  }
+  if (faults) {
+    EXPECT_GT(faulty.stats().total(), 0u);
+  }
+  return util::toHex64(util::combine64(h, llm.callCount()));
+}
+
+TEST(GoldenTransform, InterleavedInputs) {
+  EXPECT_EQ(interleavedHash(/*faults=*/false), "220964f717696fd1");
+}
+
+TEST(GoldenTransform, InterleavedInputsThroughFaultStack) {
+  // The retries recover every completion, so the stack changes no byte.
+  EXPECT_EQ(interleavedHash(/*faults=*/true), "220964f717696fd1");
 }
 
 }  // namespace
