@@ -118,7 +118,9 @@ BENCHMARK(BM_ForestFit)->Arg(10)->Arg(40);
 
 void BM_ForestPredict(benchmark::State& state) {
   const ml::Dataset data = syntheticDataset(800, 120, 16);
-  ml::RandomForest forest(ml::ForestConfig{.treeCount = 40});
+  ml::ForestConfig config;
+  config.treeCount = 40;
+  ml::RandomForest forest(config);
   forest.fit(data);
   for (auto _ : state) {
     benchmark::DoNotOptimize(forest.predict(data.x[0]));

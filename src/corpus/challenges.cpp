@@ -32,7 +32,6 @@ Arena& A() { return gArena; }
 ExprId v(std::string name) { return A().ident(std::move(name)); }
 ExprId num(long long x) { return A().intLit(x); }
 ExprId ident(std::string name) { return A().ident(std::move(name)); }
-ExprId intLit(long long x) { return A().intLit(x); }
 ExprId floatLit(double value, std::string spelling = "") {
   return A().floatLit(value, std::move(spelling));
 }

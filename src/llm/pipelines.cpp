@@ -221,7 +221,7 @@ TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
   // so a killed build resumes from completed chains bit-identically.
   const std::vector<Setting>& settings = allSettings();
   const std::size_t chainCount = challengeCount * settings.size();
-  const std::vector<std::vector<std::string>> chains =
+  std::vector<std::vector<std::string>> chains =
       runtime::parallelMap<std::vector<std::string>>(
           chainCount, [&](std::size_t task) {
             const std::size_t c = task / settings.size();
@@ -323,10 +323,11 @@ TransformedDataset buildTransformedDataset(const corpus::YearDataset& yearData,
   for (std::size_t task = 0; task < chainCount; ++task) {
     const std::size_t c = task / settings.size();
     const Setting setting = settings[task % settings.size()];
-    const std::vector<std::string>& transformed = chains[task];
+    // Taking the chain frees its spine once its outputs have moved out.
+    std::vector<std::string> transformed = std::move(chains[task]);
     for (std::size_t i = 0; i < transformed.size(); ++i) {
       TransformedSample sample;
-      sample.source = transformed[i];
+      sample.source = std::move(transformed[i]);
       sample.challengeIndex = static_cast<int>(c);
       sample.setting = setting;
       sample.step = static_cast<int>(i) + 1;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "ast/parser.hpp"
 #include "llm/archetypes.hpp"
 #include "style/apply.hpp"
 #include "style/infer.hpp"
@@ -57,39 +56,38 @@ std::string SyntheticLlm::generate(const corpus::Challenge& challenge) {
               /*mutate=*/true, /*sloppy=*/true);
 }
 
+SyntheticLlm::InputMemo& SyntheticLlm::remember(const std::string& source) {
+  if (!input_ || input_->source != source) {
+    input_.emplace(InputMemo{source, ast::parse(source), util::hash64(source),
+                             std::nullopt});
+  }
+  return *input_;
+}
+
 std::string SyntheticLlm::transform(const std::string& source) {
   ++calls_;
-  const ast::ParseResult parsed = ast::parse(source);
-  const std::uint64_t fingerprint = util::hash64(source);
+  InputMemo& input = remember(source);
 
   // Conversation context: chained transformation feeds our own previous
   // answer straight back in; the model then almost surely keeps the style.
   if (!lastOutput_.empty() && source == lastOutput_) {
     if (rng_.bernoulli(options_.stayConversation)) {
       lastWasStay_ = true;
-      return emit(parsed.unit, lastOutputArchetype_, fingerprint,
+      return emit(input.parsed.unit, lastOutputArchetype_, input.fingerprint,
                   /*mutate=*/false, /*sloppy=*/false);
     }
   } else {
     // Familiarity: input that already looks like one of our own styles is
     // usually re-emitted in exactly that style.
-    const style::StyleProfile inputProfile =
-        style::inferProfileFromSource(source);
-    const auto& pool = archetypePool();
-    double nearestDistance = 1.0;
-    std::size_t nearest = 0;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      const double d = style::StyleProfile::distance(inputProfile, pool[i]);
-      if (d < nearestDistance) {
-        nearestDistance = d;
-        nearest = i;
-      }
+    if (!input.nearest) {
+      input.nearest = style::nearestArchetype(style::inferProfile(
+          input.parsed.unit, lexer::computeLayoutMetrics(source), source));
     }
-    if (nearestDistance <= options_.familiarity &&
+    if (input.nearest->distance <= options_.familiarity &&
         rng_.bernoulli(options_.stayFamiliar)) {
       lastWasStay_ = true;
-      return emit(parsed.unit, nearest, fingerprint, /*mutate=*/false,
-                  /*sloppy=*/true);
+      return emit(input.parsed.unit, input.nearest->index, input.fingerprint,
+                  /*mutate=*/false, /*sloppy=*/true);
     }
   }
 
@@ -102,7 +100,7 @@ std::string SyntheticLlm::transform(const std::string& source) {
     for (double& w : weights) w = std::pow(w, options_.explorationTemper);
   }
   const std::size_t index = rng_.weightedIndex(weights);
-  return emit(parsed.unit, index, fingerprint, /*mutate=*/true,
+  return emit(input.parsed.unit, index, input.fingerprint, /*mutate=*/true,
               /*sloppy=*/true);
 }
 

@@ -20,14 +20,24 @@
 //     converges (Table IV "+C" < "+N");
 //   * out-of-distribution input (human code) gets restyled freely from the
 //     year prior, which is why "~N" shows the most styles in Table IV.
+//
+// `transform` remembers its last input: the text, its parse, its
+// fingerprint and, once the familiarity check has asked for it, its
+// nearest archetype. NCT sends one original at every step, so only a
+// chain's first call parses and profiles it. Everything remembered is a
+// pure function of the text and the session RNG is drawn in the same order
+// either way, so the memo changes no output byte (see DESIGN.md §2.2).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "ast/parser.hpp"
 #include "corpus/challenges.hpp"
 #include "llm/client.hpp"
+#include "style/archetypes.hpp"
 #include "style/profile.hpp"
 #include "util/rng.hpp"
 
@@ -98,6 +108,17 @@ class SyntheticLlm : public LlmClient {
                                  std::size_t index, std::uint64_t fingerprint,
                                  bool mutate, bool sloppy);
 
+  /// The last input `transform` saw, with what it derived from that text.
+  struct InputMemo {
+    std::string source;
+    ast::ParseResult parsed;
+    std::uint64_t fingerprint = 0;
+    std::optional<style::NearestArchetype> nearest;  // set on first need
+  };
+
+  /// The memo of `source`, rebuilt unless `source` equals the last input.
+  [[nodiscard]] InputMemo& remember(const std::string& source);
+
   LlmOptions options_;
   util::Rng rng_;
   std::size_t lastArchetype_ = 0;
@@ -105,6 +126,7 @@ class SyntheticLlm : public LlmClient {
   std::size_t calls_ = 0;
   std::string lastOutput_;        // conversation context
   std::size_t lastOutputArchetype_ = 0;
+  std::optional<InputMemo> input_;
 };
 
 }  // namespace sca::llm

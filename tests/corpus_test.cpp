@@ -72,7 +72,7 @@ TEST(Challenges, YearsDrawEightWithOverlap) {
 
 TEST(Challenges, LookupByIdAndFigure3) {
   EXPECT_EQ(challengeById("race").id, "race");
-  EXPECT_THROW(challengeById("nope"), std::out_of_range);
+  EXPECT_THROW((void)challengeById("nope"), std::out_of_range);
   EXPECT_EQ(figure3Challenge().id, "race");
 }
 

@@ -40,7 +40,7 @@ TEST(Archetypes, WeightsNormalizedPerYear) {
     }
     EXPECT_NEAR(sum, 1.0, 1e-6);
   }
-  EXPECT_THROW(archetypeWeights(2020), std::out_of_range);
+  EXPECT_THROW((void)archetypeWeights(2020), std::out_of_range);
 }
 
 TEST(Archetypes, YearSkewMatchesPaperShape) {
@@ -295,9 +295,9 @@ TEST(Pipelines, TransformedDatasetDeterministic) {
 // II-X comes out of these paths, so a change to how `transform` parses,
 // fingerprints or profiles its input that moves one byte shows up here.
 
-/// Every sample of a 16-challenge, 40-step dataset: long enough for NCT to
-/// reach the familiar and the exploring branches and for CT to reach the
-/// conversation branch on both origins.
+/// Every sample of a 16-author, 40-step dataset (8 challenges x 4
+/// settings): long enough for NCT to reach the familiar and the exploring
+/// branches and for CT to reach the conversation branch on both origins.
 std::string datasetHash(int year) {
   const corpus::YearDataset data = corpus::buildYearDataset(year, 16);
   BuildOptions options;

@@ -33,6 +33,13 @@ Dataset blobs(std::size_t perClass, std::uint64_t seed) {
   return data;
 }
 
+/// Default forest settings with `count` trees.
+ForestConfig withTrees(std::size_t count) {
+  ForestConfig config;
+  config.treeCount = count;
+  return config;
+}
+
 TEST(Dataset, ValidateCatchesShapeErrors) {
   Dataset ok = blobs(5, 1);
   EXPECT_NO_THROW(ok.validate());
@@ -142,7 +149,7 @@ TEST(RandomForest, DeterministicForFixedSeed) {
 
 TEST(RandomForest, ProbaSumsToOne) {
   const Dataset data = blobs(20, 9);
-  RandomForest forest(ForestConfig{.treeCount = 15});
+  RandomForest forest(withTrees(15));
   forest.fit(data);
   const auto proba = forest.predictProba({0.1, 0.1});
   double sum = 0.0;
@@ -516,7 +523,7 @@ TEST(DecisionTree, LoadRejectsGarbage) {
 
 TEST(RandomForest, SaveLoadKeepsPredictions) {
   const Dataset data = blobs(20, 13);
-  RandomForest forest(ForestConfig{.treeCount = 12});
+  RandomForest forest(withTrees(12));
   forest.fit(data);
   std::stringstream buffer;
   forest.save(buffer);
@@ -533,7 +540,7 @@ TEST(RandomForest, FeatureImportancesNormalizedAndInformative) {
   // Feature 0 separates the blobs; feature 2 is constant noise.
   Dataset data = blobs(30, 14);
   for (auto& row : data.x) row.push_back(0.5);  // constant third column
-  RandomForest forest(ForestConfig{.treeCount = 20});
+  RandomForest forest(withTrees(20));
   forest.fit(data);
   const auto importances = forest.featureImportances(3);
   ASSERT_EQ(importances.size(), 3u);
@@ -547,7 +554,7 @@ TEST(RandomForest, FeatureImportancesNormalizedAndInformative) {
 TEST(Metrics, AccuracyBasics) {
   EXPECT_DOUBLE_EQ(accuracy({1, 2, 3}, {1, 0, 3}), 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(accuracy({}, {}), 0.0);
-  EXPECT_THROW(accuracy({1}, {}), std::invalid_argument);
+  EXPECT_THROW((void)accuracy({1}, {}), std::invalid_argument);
 }
 
 TEST(Metrics, ConfusionMatrixCells) {

@@ -10,6 +10,12 @@
 #      pipeline exercises the fault-injection/retry/degradation stack and
 #      the parser-hardening paths while ASan watches for memory errors.
 #
+# The Release tree builds from clean, and a warning gate then fails on any
+# `warning:` in its build log located in the repository's own files
+# (src/, tests/, bench/, tools/, examples/). Warnings located in system
+# headers stay allowed: GCC 12 raises -Wrestrict / -Wstringop-overflow
+# false positives in char_traits.h and stl_algobase.h through inlining.
+#
 # After the Release configuration, an observability smoke runs the
 # deterministic one-shot pipeline (SCA_PIPELINE_ONCE) at 1 and 8 threads
 # with tracing and fault injection on, validates the emitted manifest and
@@ -76,12 +82,33 @@ run_config() {
   echo "=== configure $dir ($*) ==="
   cmake -B "$dir" -S . "$@"
   echo "=== build $dir ==="
-  cmake --build "$dir" -j "$JOBS"
+  cmake --build "$dir" -j "$JOBS" 2>&1 | tee "$dir/build.log"
   echo "=== test $dir ==="
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
 }
 
+# Fails on a warning located in a repository file. Diagnostics carry the
+# absolute source path, so the checkout prefix is stripped first.
+warning_gate() {
+  local log="$1" found
+  found=$(sed "s|^$PWD/||" "$log" |
+    grep -E '^(src|tests|bench|tools|examples)/[^:]+:[0-9]+:([0-9]+:)? warning:' |
+    sort -u || true)
+  if [ -n "$found" ]; then
+    echo "warnings in repository files:" >&2
+    echo "$found" >&2
+    exit 1
+  fi
+  echo "=== warning gate ok ==="
+}
+
+# From clean, so the gate sees every translation unit, not only the ones a
+# previous build left stale.
+if [ -f build-release/CMakeCache.txt ]; then
+  cmake --build build-release --target clean
+fi
 run_config build-release -DCMAKE_BUILD_TYPE=Release
+warning_gate build-release/build.log
 
 obs_smoke() {
   echo "=== observability smoke (build-release) ==="
