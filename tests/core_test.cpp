@@ -466,6 +466,64 @@ TEST_F(YearExperimentTest, GoldenBaselineFolds) {
             "e4787348356db0b1");
 }
 
+// Golden pins on predicted labels, recorded while predictAll still
+// extracted and predicted every source, duplicates included. The oracle
+// labels every transformed sample of Tables IV-VII, so a change to how
+// predictAll maps sources to rows that moves one label shows up here.
+
+std::string labelsHash(const std::vector<int>& labels) {
+  std::uint64_t h = util::hash64("labels");
+  for (const int label : labels) {
+    h = util::combine64(h, static_cast<std::uint64_t>(label));
+  }
+  return util::toHex64(h);
+}
+
+/// A model fitted on the 16 authors of 2018 at tinyConfig().
+AttributionModel tinyModel() {
+  const corpus::YearDataset ds = corpus::buildYearDataset(2018, 16);
+  std::vector<std::string> sources;
+  std::vector<int> labels;
+  for (const corpus::CodeSample& s : ds.samples) {
+    sources.push_back(s.source);
+    labels.push_back(s.authorId);
+  }
+  AttributionModel model(tinyConfig().model);
+  model.train(sources, labels);
+  return model;
+}
+
+/// The 128 sources of a 16-author 2017 corpus, each listed two or three
+/// times: three passes in different orders, the last over even indices only.
+std::vector<std::string> repeatedSources() {
+  const corpus::YearDataset ds = corpus::buildYearDataset(2017, 16);
+  const std::size_t n = ds.samples.size();
+  std::vector<std::string> out;
+  for (std::size_t pass = 0; pass < 3; ++pass) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = (k * 5 + pass * 3) % n;
+      if (pass < 2 || i % 2 == 0) out.push_back(ds.samples[i].source);
+    }
+  }
+  return out;
+}
+
+TEST(GoldenModel, PredictAllOverRepeatedSources) {
+  const std::vector<std::string> sources = repeatedSources();
+  ASSERT_EQ(sources.size(), 320u);
+  EXPECT_EQ(labelsHash(tinyModel().predictAll(sources)), "dd692311232a64ec");
+}
+
+TEST(GoldenOracle, LabelsOfFortyStepYear) {
+  // 40 steps per setting, like GoldenTransform.Dataset2017: the chains
+  // settle on a few styles, so the 1,280 samples hold 627 distinct texts.
+  ExperimentConfig config = tinyConfig();
+  config.steps = 40;
+  YearExperiment experiment(2017, config);
+  ASSERT_EQ(experiment.oracleLabels().size(), 4u * 40u * 8u);
+  EXPECT_EQ(labelsHash(experiment.oracleLabels()), "ae6c528548f233e7");
+}
+
 TEST(Binary, GoldenIndividualFolds) {
   YearExperiment experiment(2017, tinyConfig());
   const BinaryIndividualResult result = binaryIndividual(experiment);
