@@ -6,6 +6,8 @@
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "ml/dataset.hpp"
@@ -92,14 +94,30 @@ int AttributionModel::predict(const std::string& source) const {
 std::vector<int> AttributionModel::predictAll(
     const std::vector<std::string>& sources) const {
   runtime::PhaseTimer timer("predict");
-  std::vector<std::vector<double>> rows =
+  // A label is a pure function of the text, so each distinct text is
+  // extracted and predicted once, at its first occurrence.
+  std::vector<std::size_t> distinct;  // first index of each text
+  std::vector<std::size_t> group(sources.size());  // index into distinct
+  {
+    std::unordered_map<std::string_view, std::size_t> seen;
+    seen.reserve(sources.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const auto [it, fresh] = seen.try_emplace(sources[i], distinct.size());
+      if (fresh) distinct.push_back(i);
+      group[i] = it->second;
+    }
+  }
+  const std::vector<std::vector<double>> rows =
       runtime::parallelMap<std::vector<double>>(
-          sources.size(),
-          [&](std::size_t i) {
-            return selector_.apply(extractor_.transform(sources[i]));
+          distinct.size(),
+          [&](std::size_t k) {
+            return selector_.apply(extractor_.transform(sources[distinct[k]]));
           },
           runtime::ParallelOptions{.maxWorkers = 0, .grain = 8});
-  return forest_.predictAll(rows);
+  const std::vector<int> labels = forest_.predictAll(rows);
+  std::vector<int> out(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) out[i] = labels[group[i]];
+  return out;
 }
 
 std::vector<int> AttributionModel::predictRows(

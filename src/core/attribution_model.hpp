@@ -58,6 +58,13 @@ class AttributionModel {
                        std::span<const TrainingRows> jobs);
 
   [[nodiscard]] int predict(const std::string& source) const;
+
+  /// predict() of every source. Each distinct text is extracted and
+  /// predicted once, at its first occurrence, and its label is copied to
+  /// every equal source; transformed corpora repeat texts heavily. One
+  /// parallel extraction over the distinct texts, then one
+  /// RandomForest::predictAll of their rows, so `ml_rows_predicted` counts
+  /// distinct texts.
   [[nodiscard]] std::vector<int> predictAll(
       const std::vector<std::string>& sources) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <istream>
 #include <mutex>
 #include <optional>
@@ -191,8 +192,17 @@ std::vector<double> RandomForest::predictProba(
 }
 
 int RandomForest::predict(std::span<const double> features) const {
-  const std::vector<double> votes = predictProba(features);
-  if (votes.empty()) return 0;
+  if (classCount_ <= 0) return 0;
+  // Integer tallies in a per-thread buffer: predictProba's fractions have
+  // the same first maximum, without an allocation per row.
+  thread_local std::vector<std::uint32_t> votes;
+  votes.assign(static_cast<std::size_t>(classCount_), 0);
+  for (const DecisionTree& tree : trees_) {
+    const int label = tree.predict(features);
+    if (label >= 0 && label < classCount_) {
+      ++votes[static_cast<std::size_t>(label)];
+    }
+  }
   return static_cast<int>(
       std::max_element(votes.begin(), votes.end()) - votes.begin());
 }

@@ -41,6 +41,7 @@ class RandomForest {
   static void fitBatch(std::span<RandomForest* const> forests,
                        std::span<Dataset> data);
 
+  /// The class with the most tree votes; a tie goes to the lowest class.
   [[nodiscard]] int predict(std::span<const double> features) const;
   [[nodiscard]] int predict(const std::vector<double>& features) const {
     return predict(std::span<const double>(features));

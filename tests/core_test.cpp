@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <sstream>
 
 #include "core/attribution_model.hpp"
@@ -11,6 +12,7 @@
 #include "core/grouping.hpp"
 #include "corpus/dataset.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/io.hpp"
@@ -512,6 +514,38 @@ TEST(GoldenModel, PredictAllOverRepeatedSources) {
   const std::vector<std::string> sources = repeatedSources();
   ASSERT_EQ(sources.size(), 320u);
   EXPECT_EQ(labelsHash(tinyModel().predictAll(sources)), "dd692311232a64ec");
+}
+
+TEST(AttributionModel, PredictAllLabelsEqualTextsAlike) {
+  const AttributionModel model = tinyModel();
+  const std::vector<std::string> repeated = repeatedSources();
+  ASSERT_EQ(std::set<std::string>(repeated.begin(), repeated.end()).size(),
+            128u);
+  const std::vector<std::vector<std::string>> inputs = {
+      repeated, std::vector<std::string>(5, repeated[7]), {}, {repeated[3]}};
+  std::vector<std::vector<int>> expected;
+  for (const std::vector<std::string>& sources : inputs) {
+    std::vector<int> labels;
+    for (const std::string& source : sources) {
+      labels.push_back(model.predict(source));
+    }
+    expected.push_back(std::move(labels));
+  }
+  const obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(threads);
+    runtime::setGlobalThreadCount(threads);
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      SCOPED_TRACE(k);
+      const std::set<std::string> distinct(inputs[k].begin(),
+                                           inputs[k].end());
+      const std::uint64_t before = metrics.counterValue("ml_rows_predicted");
+      EXPECT_EQ(model.predictAll(inputs[k]), expected[k]);
+      EXPECT_EQ(metrics.counterValue("ml_rows_predicted") - before,
+                distinct.size());
+    }
+  }
+  runtime::setGlobalThreadCount(0);
 }
 
 TEST(GoldenOracle, LabelsOfFortyStepYear) {
